@@ -15,13 +15,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from .easing import (
     EASE,
     LINEAR,
     EasingSpec,
     easing_to_string,
-    evaluate,
+    evaluate_many,
     invert,
     parse_easing,
     verify_monotone,
@@ -64,6 +67,10 @@ class AnimationConfig:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("sigma_a", "delta0", "tau_half", "tau_distinct", "fps", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.sigma_a > 0.0:
             raise ConfigError(f"sigma_a must be positive, got {self.sigma_a}")
         if not 0.0 < self.delta0 < 0.5:
@@ -125,21 +132,62 @@ def edge_animation(
     return EdgeAnimation(edge=edge, tau=tau, total=2.0 * tau + cfg.tau_half)
 
 
+def stub_ratio_matrix(
+    cfg: AnimationConfig,
+    edges: Sequence[tuple[EdgeAnimation, Sequence[float]] | None],
+    times: Sequence[float],
+) -> np.ndarray:
+    """Stub ratios of many edges at many absolute times, as an edges x times array.
+
+    Each entry of ``edges`` is an animation with its ascending start times, or
+    None for an edge that never animates. At time t the latest start at or
+    before t sets the offset rel = t - start. The ratio is piecewise in rel:
+    resting when rel <= 0 or rel >= total, eased growth while rel < tau, fully
+    drawn while rel <= tau + hold, then the growth curve mirrored in time.
+    All growing and retracting fractions go through one easing evaluation.
+    """
+    t = np.asarray(times, dtype=float)
+    rel = np.zeros((len(edges), t.size))
+    tau = np.ones((len(edges), 1))
+    total = np.zeros((len(edges), 1))
+    for row, entry in enumerate(edges):
+        if entry is None or not entry[1]:
+            continue
+        anim, starts = entry
+        s = np.asarray(starts, dtype=float)
+        latest = np.searchsorted(s, t, side="right")
+        live = latest > 0
+        rel[row, live] = t[live] - s[latest[live] - 1]
+        tau[row] = anim.tau
+        total[row] = anim.total
+    tau = np.broadcast_to(tau, rel.shape)
+    total = np.broadcast_to(total, rel.shape)
+    animating = (rel > 0.0) & (rel < total)
+    growing = animating & (rel < tau)
+    retracting = animating & (rel > tau + cfg.tau_half)
+    out = np.full(rel.shape, cfg.delta0)
+    out[animating & ~growing & ~retracting] = 0.5
+    n_growing = int(np.count_nonzero(growing))
+    if n_growing or np.any(retracting):
+        fractions = np.concatenate(
+            (
+                rel[growing] / tau[growing],
+                (total[retracting] - rel[retracting]) / tau[retracting],
+            )
+        )
+        ratios = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
+        out[growing] = ratios[:n_growing]
+        out[retracting] = ratios[n_growing:]
+    return out
+
+
 def stub_ratio_at(anim: EdgeAnimation, cfg: AnimationConfig, t_rel: float) -> float:
     """Stub length ratio at a time offset from the animation start.
 
     Piecewise: resting ratio outside the animation, eased growth, full hold,
     then the growth curve mirrored in time.
     """
-    if t_rel <= 0.0 or t_rel >= anim.total:
-        return cfg.delta0
-    if t_rel < anim.tau:
-        return cfg.delta0 + cfg.ratio_span * evaluate(cfg.easing, t_rel / anim.tau)
-    if t_rel <= anim.tau + cfg.tau_half:
-        return 0.5
-    return cfg.delta0 + cfg.ratio_span * evaluate(
-        cfg.easing, (anim.total - t_rel) / anim.tau
-    )
+    return float(stub_ratio_matrix(cfg, [(anim, (0.0,))], [t_rel])[0, 0])
 
 
 def time_to_ratio(anim: EdgeAnimation, cfg: AnimationConfig, ratio: float) -> float:

@@ -6,23 +6,34 @@ filled disks over the edge stubs on a white background; the drawing area is
 the node bounding box plus a 10 px margin. Coordinates are written with three
 decimal places.
 
-The animated export embeds per-stub tip keyframes, sampled at the configured
-frame rate, as declarative animation elements in one self-contained SVG, so
-linear and cubic easing share a single export path.
+Every path samples stub ratios through one kernel,
+:func:`~edgemorph.kinematics.stub_ratio_matrix`: an export builds the
+edges x frames ratio matrix once and derives all stub tips from it with array
+arithmetic, in the same affine form as :func:`~edgemorph.graph.stub_pair`.
+The frame files and the animated document both read those tips, and
+:func:`sample_frame` is the one-column case. The animated export embeds
+per-stub tip keyframes, sampled at the configured frame rate, as declarative
+animation elements in one self-contained SVG, so linear and cubic easing share
+a single export path.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
-from .graph import GraphLayout, NodeSpec, Point, StubPair, stub_pair
-from .kinematics import AnimationConfig, stub_ratio_at
+import numpy as np
+
+from .errors import ConfigError
+from .graph import GraphLayout, NodeSpec, Point, StubPair
+from .kinematics import AnimationConfig, stub_ratio_matrix
 from .scheduling import Schedule
 
 MARGIN_PX = 10.0
+#: Most frames one export may sample: about 55 minutes at 30 fps.
+MAX_FRAMES = 100_000
 
 
 @dataclass(frozen=True)
@@ -62,21 +73,64 @@ class FrameGeometry:
     nodes: tuple[NodeSpec, ...]
 
 
+@dataclass(frozen=True)
+class _StubTips:
+    """Stub ratios and both stub tips of every edge at every sampled time.
+
+    Each array is edges x times. Tips use the affine form (1 - r) a + r b, so
+    ratio 1/2 puts both tips on the identical midpoint expression.
+    """
+
+    ratios: np.ndarray
+    source_x: np.ndarray
+    source_y: np.ndarray
+    target_x: np.ndarray
+    target_y: np.ndarray
+
+
+def _stub_tips(
+    layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, times: Sequence[float]
+) -> _StubTips:
+    by_key = schedule.starts_by_key()
+    entries = []
+    for edge in layout.edges:
+        scheduled = by_key.get(edge.key)
+        entries.append(None if scheduled is None else (scheduled.animation, scheduled.starts))
+    ratios = stub_ratio_matrix(cfg, entries, times)
+    anchors = np.array([layout.endpoints(edge) for edge in layout.edges]).reshape(-1, 2, 2)
+    sx, sy = anchors[:, 0, 0:1], anchors[:, 0, 1:2]
+    tx, ty = anchors[:, 1, 0:1], anchors[:, 1, 1:2]
+    rest = 1.0 - ratios
+    return _StubTips(
+        ratios=ratios,
+        source_x=rest * sx + ratios * tx,
+        source_y=rest * sy + ratios * ty,
+        target_x=rest * tx + ratios * sx,
+        target_y=rest * ty + ratios * sy,
+    )
+
+
+def _frames(
+    layout: GraphLayout, times: Sequence[float], tips: _StubTips
+) -> Iterator[FrameGeometry]:
+    """One frame per sampled time, read from the tip arrays column by column."""
+    anchors = [layout.endpoints(edge) for edge in layout.edges]
+    arrays = (tips.ratios, tips.source_x, tips.source_y, tips.target_x, tips.target_y)
+    for t, ratios, sx, sy, tx, ty in zip(times, *(a.T.tolist() for a in arrays)):
+        stubs = tuple(
+            StubPair(edge, r, (source, (x1, y1)), (target, (x2, y2)))
+            for edge, (source, target), r, x1, y1, x2, y2 in zip(
+                layout.edges, anchors, ratios, sx, sy, tx, ty
+            )
+        )
+        yield FrameGeometry(timestamp=t, stubs=stubs, nodes=layout.nodes)
+
+
 def sample_frame(
     layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, t: float
 ) -> FrameGeometry:
     """Geometry at an absolute time; edges without a live animation rest."""
-    by_key = schedule.starts_by_key()
-    stubs = []
-    for edge in layout.edges:
-        ratio = cfg.delta0
-        scheduled = by_key.get(edge.key)
-        if scheduled is not None and scheduled.starts:
-            i = bisect_right(scheduled.starts, t)
-            if i > 0:
-                ratio = stub_ratio_at(scheduled.animation, cfg, t - scheduled.starts[i - 1])
-        stubs.append(stub_pair(layout, edge, ratio))
-    return FrameGeometry(timestamp=t, stubs=tuple(stubs), nodes=layout.nodes)
+    return next(_frames(layout, [t], _stub_tips(layout, cfg, schedule, [t])))
 
 
 def _fmt(value: float) -> str:
@@ -158,30 +212,32 @@ def frame_timestamps(makespan: float, fps: float) -> list[float]:
     """Sampling times k * 1000 / fps ms for k = 0 .. ceil(makespan * fps / 1000).
 
     The last frame lands at or just past the makespan, capturing the final
-    resting state.
+    resting state. More than :data:`MAX_FRAMES` frames raise ConfigError.
     """
-    last = math.ceil(makespan * fps / 1000.0)
-    return [k * 1000.0 / fps for k in range(last + 1)]
+    span = makespan * fps / 1000.0
+    if not span <= MAX_FRAMES - 1:
+        raise ConfigError(
+            f"{makespan:.3f} ms at {fps} fps needs more than {MAX_FRAMES} frames"
+        )
+    return [k * 1000.0 / fps for k in range(math.ceil(span) + 1)]
 
 
 def _animated_svg(
     layout: GraphLayout,
     cfg: AnimationConfig,
-    schedule: Schedule,
+    times: list[float],
+    tips: _StubTips,
     style: RenderStyle,
 ) -> str:
-    times = frame_timestamps(schedule.makespan, cfg.fps)
     duration = times[-1] if times[-1] > 0 else 1000.0 / cfg.fps
     key_times = ";".join(f"{t / duration:.6f}" for t in times)
-    # One sampled frame per keyframe; stub order follows layout.edges.
-    frames = [sample_frame(layout, cfg, schedule, t) for t in times]
 
-    def animated_line(anchor: Point, tips: list[Point]) -> str:
-        x_values = ";".join(_fmt(p[0]) for p in tips)
-        y_values = ";".join(_fmt(p[1]) for p in tips)
+    def animated_line(anchor: Point, xs: list[float], ys: list[float]) -> str:
+        x_values = ";".join(_fmt(x) for x in xs)
+        y_values = ";".join(_fmt(y) for y in ys)
         return (
             f'<line x1="{_fmt(anchor[0])}" y1="{_fmt(anchor[1])}" '
-            f'x2="{_fmt(tips[0][0])}" y2="{_fmt(tips[0][1])}" '
+            f'x2="{_fmt(xs[0])}" y2="{_fmt(ys[0])}" '
             f'stroke="{style.stroke}" stroke-width="{_fmt(style.stroke_width)}">'
             f'<animate attributeName="x2" dur="{_fmt(duration)}ms" '
             f'values="{x_values}" keyTimes="{key_times}" calcMode="linear" '
@@ -193,12 +249,17 @@ def _animated_svg(
         )
 
     parts = _svg_open(layout.nodes, style.background)
-    for index, edge in enumerate(layout.edges):
+    rows = zip(
+        layout.edges,
+        tips.source_x.tolist(),
+        tips.source_y.tolist(),
+        tips.target_x.tolist(),
+        tips.target_y.tolist(),
+    )
+    for edge, sx, sy, tx, ty in rows:
         source_anchor, target_anchor = layout.endpoints(edge)
-        source_tips = [f.stubs[index].segment_source[1] for f in frames]
-        target_tips = [f.stubs[index].segment_target[1] for f in frames]
-        parts.append(animated_line(source_anchor, source_tips))
-        parts.append(animated_line(target_anchor, target_tips))
+        parts.append(animated_line(source_anchor, sx, sy))
+        parts.append(animated_line(target_anchor, tx, ty))
     parts.extend(_node_circles(layout.nodes, style))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -218,18 +279,22 @@ def export_animation(
     Frames are named frame_%06d.svg and sampled at the configured frame rate
     from time zero through the first frame at or past the makespan; the
     animated document is animation.svg. Returns the written paths in order.
+    Both read one stub-ratio matrix built for the whole export. An export of
+    more than :data:`MAX_FRAMES` frames raises ConfigError before the
+    directory is created.
     """
+    times = frame_timestamps(schedule.makespan, cfg.fps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    tips = _stub_tips(layout, cfg, schedule, times)
     if frames:
-        for k, t in enumerate(frame_timestamps(schedule.makespan, cfg.fps)):
-            frame = sample_frame(layout, cfg, schedule, t)
+        for k, frame in enumerate(_frames(layout, times, tips)):
             path = out_dir / f"frame_{k:06d}.svg"
             path.write_text(frame_to_svg(frame, style), encoding="utf-8")
             written.append(path)
     if animated:
         path = out_dir / "animation.svg"
-        path.write_text(_animated_svg(layout, cfg, schedule, style), encoding="utf-8")
+        path.write_text(_animated_svg(layout, cfg, times, tips, style), encoding="utf-8")
         written.append(path)
     return written

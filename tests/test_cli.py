@@ -129,6 +129,19 @@ class TestSchedule:
         schedule = parse_schedule(capsys.readouterr().out)
         assert schedule.config.sigma_a == 200.0
 
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"tau_distinct_ms": NaN}', '{"fps": Infinity}', '{"horizon_ms": Infinity}'],
+    )
+    def test_non_finite_config_is_domain_error(self, layout_file, tmp_path, capsys, doc):
+        config = tmp_path / "cfg.json"
+        config.write_text(doc, encoding="utf-8")
+        rc = main(["schedule", str(layout_file), "--config", str(config)])
+        assert rc in (1, 2)
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "Traceback" not in err
+
     def test_horizon_too_small_is_domain_error(self, layout_file, capsys):
         rc = main(
             ["schedule", str(layout_file), "--model", "slowlin", "--horizon", "100"]
@@ -190,6 +203,23 @@ class TestRender:
             a = frame_to_svg(sample_frame(layout, direct.config, direct, t))
             b = frame_to_svg(sample_frame(layout, reread.config, reread, t))
             assert a == b
+
+    def test_frame_ceiling_is_domain_error(self, layout_file, tmp_path, capsys):
+        schedule = tmp_path / "fast.json"
+        rc = main(
+            ["schedule", str(layout_file), "--model", "slowlin", "--fps", "1e9", "-o", str(schedule)]
+        )
+        assert rc == 0
+        for extra in ([], ["--animated"]):
+            out_dir = tmp_path / "out"
+            rc = main(
+                ["render", str(layout_file), "--schedule", str(schedule), "--out", str(out_dir)]
+                + extra
+            )
+            assert rc == 1
+            assert not out_dir.exists()
+            err = capsys.readouterr().err
+            assert "frames" in err and "Traceback" not in err
 
     def test_animated_output(self, layout_file, schedule_file, tmp_path):
         out_dir = tmp_path / "anim"

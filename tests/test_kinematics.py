@@ -24,7 +24,7 @@ from edgemorph import (
     time_to_ratio,
 )
 from edgemorph.easing import CUBIC_KIND
-from edgemorph.kinematics import quantize_ms
+from edgemorph.kinematics import config_from_dict, quantize_ms
 from edgemorph.scheduling import sample_ratio_series
 
 SLOWLIN = PRESETS["slowlin"]
@@ -236,6 +236,22 @@ class TestConfig:
             AnimationConfig(sigma_a=100.0, delta0=0.5)
         with pytest.raises(ConfigError):
             AnimationConfig(sigma_a=100.0, fps=0.0)
+
+    @pytest.mark.parametrize(
+        "field", ["sigma_a", "delta0", "tau_half", "tau_distinct", "fps", "horizon"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            AnimationConfig(**{"sigma_a": 100.0, field: value})
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"tau_distinct_ms": NaN}', '{"fps": Infinity}', '{"horizon_ms": Infinity}'],
+    )
+    def test_dict_rejects_non_finite_values(self, doc):
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict(json.loads(doc))
 
     def test_rejects_non_monotone_easing(self):
         bad = EasingSpec(CUBIC_KIND, 0.25, 2.0, 0.25, -1.0)

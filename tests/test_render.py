@@ -1,3 +1,7 @@
+import math
+import re
+from bisect import bisect_right
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -5,7 +9,10 @@ import pytest
 import numpy as np
 
 from edgemorph import (
+    ConfigError,
+    EdgeSpec,
     GraphLayout,
+    NodeSpec,
     PRESETS,
     RenderStyle,
     Schedule,
@@ -14,7 +21,11 @@ from edgemorph import (
     frame_timestamps,
     frame_to_svg,
     sample_frame,
+    stub_pair,
 )
+from edgemorph.easing import evaluate
+from edgemorph.kinematics import stub_ratio_matrix
+from edgemorph.render import MAX_FRAMES
 from edgemorph.scheduling import sample_ratio_series
 from gen_layouts import k4_square
 
@@ -22,15 +33,18 @@ SLOWLIN = PRESETS["slowlin"]
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_frame.svg"
 
 
-def golden_fixture_svg():
-    """Mid-animation frame of a 5-node layout: K4 on a square plus a tail."""
-    from edgemorph import EdgeSpec, NodeSpec
-
+def five_node_layout():
+    """K4 on a square plus a tail."""
     base = k4_square()
-    layout = GraphLayout(
+    return GraphLayout(
         base.nodes + (NodeSpec("t", 50.0, -80.0),),
         base.edges + (EdgeSpec("p", "t"),),
     )
+
+
+def golden_fixture_svg():
+    """Mid-animation frame of the five-node layout."""
+    layout = five_node_layout()
     schedule = compute_schedule(layout, SLOWLIN)
     return frame_to_svg(sample_frame(layout, SLOWLIN, schedule, 400.0))
 
@@ -200,6 +214,127 @@ class TestExport:
                 animated=True,
             )[0].read_text(encoding="utf-8")
         )
+
+
+    @pytest.mark.parametrize(
+        "frames, animated", [(True, False), (False, True)], ids=["frames", "animated"]
+    )
+    def test_frame_ceiling_fails_before_writing(
+        self, tmp_path, cross_layout, frames, animated
+    ):
+        cfg = replace(SLOWLIN, fps=1e9)
+        schedule = compute_schedule(cross_layout, cfg)
+        with pytest.raises(ConfigError, match="frames"):
+            export_animation(
+                cross_layout, cfg, schedule, tmp_path / "out", frames=frames, animated=animated
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_frame_ceiling_boundary(self):
+        assert len(frame_timestamps(MAX_FRAMES - 1.0, 1000.0)) == MAX_FRAMES
+        with pytest.raises(ConfigError):
+            frame_timestamps(MAX_FRAMES - 0.5, 1000.0)
+        with pytest.raises(ConfigError):
+            frame_timestamps(1000.0, math.inf)
+
+
+def scalar_ratio(cfg, scheduled, t):
+    """Oracle: the per-edge, per-time piecewise definition, one scalar at a time."""
+    if scheduled is None:
+        return cfg.delta0
+    i = bisect_right(scheduled.starts, t)
+    if i == 0:
+        return cfg.delta0
+    anim = scheduled.animation
+    rel = t - scheduled.starts[i - 1]
+    if rel <= 0.0 or rel >= anim.total:
+        return cfg.delta0
+    if rel < anim.tau:
+        return cfg.delta0 + cfg.ratio_span * evaluate(cfg.easing, rel / anim.tau)
+    if rel <= anim.tau + cfg.tau_half:
+        return 0.5
+    return cfg.delta0 + cfg.ratio_span * evaluate(
+        cfg.easing, (anim.total - rel) / anim.tau
+    )
+
+
+def boundary_times(schedule):
+    """Every phase boundary of every animation, and one ulp either side."""
+    times = set()
+    for se in schedule.edges:
+        anim = se.animation
+        for start in se.starts:
+            for x in (
+                start,
+                start + anim.tau,
+                start + anim.tau + schedule.config.tau_half,
+                start + anim.total,
+            ):
+                times.update((math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)))
+    return sorted(times)
+
+
+def multi_start_schedule(preset, keep_every_edge):
+    """A horizon schedule on the five-node layout, optionally missing edges."""
+    layout = five_node_layout()
+    cfg = replace(PRESETS[preset], horizon=9000.0)
+    schedule = compute_schedule(layout, cfg)
+    assert max(len(se.starts) for se in schedule.edges) >= 2
+    if not keep_every_edge:
+        schedule = replace(schedule, edges=schedule.edges[::2])
+    return layout, cfg, schedule
+
+
+KERNEL_CASES = [
+    ("slowlin", True),
+    ("sloweas", True),
+    ("fasteas", False),
+    ("slowlin", False),
+]
+
+
+@pytest.mark.parametrize("preset, keep_every_edge", KERNEL_CASES)
+def test_ratio_kernel_equals_scalar_definition(preset, keep_every_edge):
+    layout, cfg, schedule = multi_start_schedule(preset, keep_every_edge)
+    by_key = schedule.starts_by_key()
+    scheduled = [by_key.get(edge.key) for edge in layout.edges]
+    times = boundary_times(schedule)
+    matrix = stub_ratio_matrix(
+        cfg, [None if se is None else (se.animation, se.starts) for se in scheduled], times
+    )
+    expected = [[scalar_ratio(cfg, se, t) for t in times] for se in scheduled]
+    assert matrix.tolist() == expected
+    # every phase of the piecewise definition is exercised
+    flat = matrix.ravel()
+    assert np.any(flat == cfg.delta0) and np.any(flat == 0.5)
+    assert np.any((flat > cfg.delta0) & (flat < 0.5))
+    for col in range(0, len(times), 11):
+        frame = sample_frame(layout, cfg, schedule, times[col])
+        assert [stub.ratio for stub in frame.stubs] == matrix[:, col].tolist()
+        assert frame.stubs == tuple(
+            stub_pair(layout, edge, stub.ratio) for edge, stub in zip(layout.edges, frame.stubs)
+        )
+
+
+@pytest.mark.parametrize("preset, keep_every_edge", KERNEL_CASES)
+def test_animated_keyframes_equal_sampled_tips(tmp_path, preset, keep_every_edge):
+    layout, cfg, schedule = multi_start_schedule(preset, keep_every_edge)
+    (path,) = export_animation(layout, cfg, schedule, tmp_path, frames=False, animated=True)
+    values = re.findall(r'values="([^"]*)"', path.read_text(encoding="utf-8"))
+    times = frame_timestamps(schedule.makespan, cfg.fps)
+    frames = [sample_frame(layout, cfg, schedule, t) for t in times]
+    assert len(values) == 4 * len(layout.edges)
+    for i in range(len(layout.edges)):
+        tips = [
+            (f.stubs[i].segment_source[1], f.stubs[i].segment_target[1]) for f in frames
+        ]
+        source_x, source_y, target_x, target_y = (
+            v.split(";") for v in values[4 * i : 4 * i + 4]
+        )
+        assert source_x == [f"{s[0]:.3f}" for s, _ in tips]
+        assert source_y == [f"{s[1]:.3f}" for s, _ in tips]
+        assert target_x == [f"{t[0]:.3f}" for _, t in tips]
+        assert target_y == [f"{t[1]:.3f}" for _, t in tips]
 
 
 def test_style_rejects_nonpositive_dimensions():

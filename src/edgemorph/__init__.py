@@ -65,7 +65,6 @@ from .render import (
     sample_frame,
 )
 from .scheduling import (
-    ConflictConstraint,
     Schedule,
     ScheduledEdge,
     ScheduleReport,

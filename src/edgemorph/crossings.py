@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DegeneracyError, RangeError
 from .graph import EdgeSpec, GraphLayout, Point
@@ -86,7 +85,6 @@ def _bbox_disjoint(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> bool:
     )
 
 
-@lru_cache(maxsize=32)
 def find_avoidable_crossings(
     layout: GraphLayout, delta0: float
 ) -> tuple[AvoidableCrossing, ...]:

@@ -9,6 +9,13 @@ time is feasible. When a schedule horizon is set, further animations of each
 edge are appended pass by pass for as long as they fit (each at least one
 full animation plus the distinctness time after the previous one).
 
+Each edge keeps one sorted list of its forbidden start windows, extended as
+its crossing partners gain starts, and the earliest-feasible search bisects
+into that list just below the candidate instead of rebuilding it. Because
+windows only accumulate, an edge whose next animation overruns the horizon
+could never fit later: it is retired, and the repeat passes end when no edge
+is left.
+
 The first pass always places every edge once and every start is at or after
 time zero, so the frame at time zero shows the resting drawing.
 
@@ -25,13 +32,15 @@ places round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from statistics import fmean
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .crossings import AvoidableCrossing, find_avoidable_crossings
+from .crossings import find_avoidable_crossings
 from .easing import evaluate_many, invert_many
 from .errors import ConfigError, ParseError, UsageError
 from .graph import EdgeSpec, GraphLayout
@@ -66,15 +75,6 @@ class Schedule:
         return {se.animation.edge.key: se for se in self.edges}
 
 
-@dataclass(frozen=True)
-class ConflictConstraint:
-    """A crossing plus each edge's time offset to reach the crossing point."""
-
-    crossing: AvoidableCrossing
-    reach_a: float
-    reach_b: float
-
-
 def forbidden_start_window(
     reach: float,
     total: float,
@@ -93,23 +93,16 @@ def forbidden_start_window(
     return (a - tau_distinct - (total - reach), b + tau_distinct - reach)
 
 
-def _earliest_feasible(base: float, windows: list[tuple[float, float]]) -> float:
-    """Smallest microsecond-grid time >= base outside all open windows."""
-    c = ceil_ms(max(base, 0.0))
-    for lo, hi in sorted(windows):
-        if c <= lo:
-            break
-        if c < hi:
-            c = ceil_ms(hi)
-    return c
-
-
 def conflict_constraints(
     layout: GraphLayout,
     cfg: AnimationConfig,
     animations: dict[tuple[str, str], EdgeAnimation],
-) -> tuple[ConflictConstraint, ...]:
-    """Reach offsets for every avoidable crossing, batched through the easing."""
+) -> tuple[tuple[tuple[str, str], tuple[str, str], float, float], ...]:
+    """(edge_a key, edge_b key, reach_a, reach_b) for every avoidable crossing.
+
+    A reach is the time from an edge's start until its stub covers the
+    crossing point; all of them go through the easing in one batch.
+    """
     crossings = find_avoidable_crossings(layout, cfg.delta0)
     if not crossings:
         return ()
@@ -121,10 +114,11 @@ def conflict_constraints(
         progress[2 * i + 1] = (nearer_b - cfg.delta0) / cfg.ratio_span
     fracs = invert_many(cfg.easing, progress)
     return tuple(
-        ConflictConstraint(
-            crossing=crossing,
-            reach_a=animations[crossing.edge_a.key].tau * float(fracs[2 * i]),
-            reach_b=animations[crossing.edge_b.key].tau * float(fracs[2 * i + 1]),
+        (
+            crossing.edge_a.key,
+            crossing.edge_b.key,
+            animations[crossing.edge_a.key].tau * float(fracs[2 * i]),
+            animations[crossing.edge_b.key].tau * float(fracs[2 * i + 1]),
         )
         for i, crossing in enumerate(crossings)
     )
@@ -138,36 +132,62 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     horizon is too short for even a single animation of every edge.
     """
     animations = {e.key: edge_animation(e, layout, cfg) for e in layout.edges}
-    constraints = conflict_constraints(layout, cfg, animations)
-
     partners: dict[tuple[str, str], list[tuple[tuple[str, str], float, float]]] = {
         key: [] for key in animations
     }
-    for con in constraints:
-        key_a = con.crossing.edge_a.key
-        key_b = con.crossing.edge_b.key
-        partners[key_a].append((key_b, con.reach_a, con.reach_b))
-        partners[key_b].append((key_a, con.reach_b, con.reach_a))
+    for key_a, key_b, reach_a, reach_b in conflict_constraints(layout, cfg, animations):
+        partners[key_a].append((key_b, reach_a, reach_b))
+        partners[key_b].append((key_a, reach_b, reach_a))
 
+    # No forbidden window of an edge is longer than its span (reaches lie in
+    # [0, tau]). The 1 ms here and the relative 1e-9 in the search absorb
+    # float noise in the window ends at any time scale.
+    spans = {
+        key: animations[key].total
+        + max((animations[other].total for other, _, _ in partners[key]), default=0.0)
+        + 2.0 * cfg.tau_distinct
+        + 1.0
+        for key in animations
+    }
     order = sorted(animations, key=lambda k: (-animations[k].tau, k))
     starts: dict[tuple[str, str], list[float]] = {key: [] for key in animations}
+    windows: dict[tuple[str, str], list[tuple[float, float]]] = {
+        key: [] for key in animations
+    }
 
-    def windows_for(key: tuple[str, str]) -> list[tuple[float, float]]:
-        own_total = animations[key].total
-        out = []
+    def place(key: tuple[str, str], ts: float) -> None:
+        starts[key].append(ts)
+        total = animations[key].total
         for other, reach_self, reach_other in partners[key]:
-            other_total = animations[other].total
-            for ts in starts[other]:
-                occupancy = (ts + reach_other, ts + other_total - reach_other)
-                out.append(
-                    forbidden_start_window(
-                        reach_self, own_total, occupancy, cfg.tau_distinct
-                    )
-                )
-        return out
+            occupancy = (ts + reach_self, ts + total - reach_self)
+            insort(
+                windows[other],
+                forbidden_start_window(
+                    reach_other, animations[other].total, occupancy, cfg.tau_distinct
+                ),
+            )
+
+    def earliest_feasible(key: tuple[str, str], base: float) -> float:
+        """Smallest microsecond-grid time >= base outside all open windows.
+
+        Windows are swept in sorted order. Those starting more than a span
+        before the candidate have ended by then, so the sweep skips them:
+        the result is the one a sweep over every window gives.
+        """
+        c = ceil_ms(max(base, 0.0))
+        wins = windows[key]
+        i = bisect_left(wins, (c - spans[key] - 1e-9 * c,))
+        while i < len(wins):
+            lo, hi = wins[i]
+            if c <= lo:
+                break
+            if c < hi:
+                c = ceil_ms(hi)
+            i += 1
+        return c
 
     for key in order:
-        starts[key].append(_earliest_feasible(0.0, windows_for(key)))
+        place(key, earliest_feasible(key, 0.0))
 
     if cfg.horizon is not None:
         first_pass_end = max(
@@ -178,15 +198,19 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
                 f"horizon {cfg.horizon} ms cannot fit one animation of every "
                 f"edge (needs {first_pass_end} ms)"
             )
-        progressed = True
-        while progressed:
-            progressed = False
-            for key in order:
+        # Windows only accumulate and a failed edge keeps its base, so its
+        # candidate can only move later: an edge that overruns the horizon
+        # once is retired for good.
+        active = order
+        while active:
+            placed = []
+            for key in active:
                 base = starts[key][-1] + animations[key].total + cfg.tau_distinct
-                candidate = _earliest_feasible(base, windows_for(key))
+                candidate = earliest_feasible(key, base)
                 if candidate + animations[key].total <= cfg.horizon + _EPS_MS:
-                    starts[key].append(candidate)
-                    progressed = True
+                    place(key, candidate)
+                    placed.append(key)
+            active = placed
 
     scheduled = tuple(
         ScheduledEdge(animations[key], tuple(starts[key]))
@@ -432,12 +456,19 @@ def schedule_from_dict(doc: dict) -> Schedule:
             starts = tuple(float(ts) for ts in entry["starts_ms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad schedule edge entry: {exc}") from exc
-        anim = EdgeAnimation(edge=edge, tau=tau, total=2.0 * tau + cfg.tau_half)
+        total = 2.0 * tau + cfg.tau_half
+        if not all(map(math.isfinite, (tau, total, *starts))):
+            raise ParseError(
+                f"non-finite time in schedule edge {edge.source}-{edge.target}"
+            )
+        anim = EdgeAnimation(edge=edge, tau=tau, total=total)
         edges.append(ScheduledEdge(anim, starts))
     makespan = max(
         (ts + se.animation.total for se in edges for ts in se.starts),
         default=0.0,
     )
+    if not math.isfinite(makespan):
+        raise ParseError(f"schedule makespan overflows: {makespan}")
     return Schedule(config=cfg, edges=tuple(edges), makespan=makespan)
 
 

@@ -221,6 +221,32 @@ class TestRender:
             err = capsys.readouterr().err
             assert "frames" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("starts_ms", float("nan")), ("starts_ms", float("inf")), ("tau_ms", 1e308)],
+    )
+    def test_non_finite_schedule_times_are_domain_errors(
+        self, layout_file, schedule_file, tmp_path, capsys, field, value
+    ):
+        doc = json.loads(schedule_file.read_text(encoding="utf-8"))
+        if field == "starts_ms":
+            doc["edges"][0]["starts_ms"].append(value)
+        else:
+            doc["edges"][0]["tau_ms"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        for extra in ([], ["--animated"]):
+            out_dir = tmp_path / "out"
+            rc = main(
+                ["render", str(layout_file), "--schedule", str(bad), "--out", str(out_dir)]
+                + extra
+            )
+            assert rc == 1
+            assert not out_dir.exists()
+            err = capsys.readouterr().err
+            assert "non-finite" in err and "Traceback" not in err
+
     def test_animated_output(self, layout_file, schedule_file, tmp_path):
         out_dir = tmp_path / "anim"
         rc = main(

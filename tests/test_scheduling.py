@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,20 +9,24 @@ from edgemorph import (
     GraphLayout,
     NodeSpec,
     PRESETS,
+    ParseError,
     Schedule,
     ScheduledEdge,
     UsageError,
     compute_schedule,
     edge_animation,
     forbidden_start_window,
+    parse_layout,
     parse_schedule,
     schedule_stats,
     schedule_to_dict,
     schedule_to_json,
     validate_schedule,
 )
-from edgemorph.kinematics import with_overrides
-from gen_layouts import valid_synth_layout
+from edgemorph.kinematics import ceil_ms, with_overrides
+from edgemorph.scheduling import conflict_constraints
+from conftest import DATA_DIR
+from gen_layouts import synth_layout, valid_synth_layout
 
 SLOWLIN = PRESETS["slowlin"]
 FASTLIN = PRESETS["fastlin"]
@@ -147,6 +152,126 @@ class TestComputeSchedule:
         assert fast <= slow
 
 
+def quadratic_schedule(layout, cfg):
+    """Reference placement: every search rebuilds and sorts every partner window.
+
+    Repeat passes retry every edge until a whole pass places nothing.
+    """
+    animations = {e.key: edge_animation(e, layout, cfg) for e in layout.edges}
+    partners = {key: [] for key in animations}
+    for key_a, key_b, reach_a, reach_b in conflict_constraints(layout, cfg, animations):
+        partners[key_a].append((key_b, reach_a, reach_b))
+        partners[key_b].append((key_a, reach_b, reach_a))
+    order = sorted(animations, key=lambda k: (-animations[k].tau, k))
+    starts = {key: [] for key in animations}
+
+    def windows_for(key):
+        own_total = animations[key].total
+        out = []
+        for other, reach_self, reach_other in partners[key]:
+            other_total = animations[other].total
+            for ts in starts[other]:
+                occupancy = (ts + reach_other, ts + other_total - reach_other)
+                out.append(
+                    forbidden_start_window(
+                        reach_self, own_total, occupancy, cfg.tau_distinct
+                    )
+                )
+        return out
+
+    def earliest_feasible(base, windows):
+        c = ceil_ms(max(base, 0.0))
+        for lo, hi in sorted(windows):
+            if c <= lo:
+                break
+            if c < hi:
+                c = ceil_ms(hi)
+        return c
+
+    for key in order:
+        starts[key].append(earliest_feasible(0.0, windows_for(key)))
+    if cfg.horizon is not None:
+        progressed = True
+        while progressed:
+            progressed = False
+            for key in order:
+                base = starts[key][-1] + animations[key].total + cfg.tau_distinct
+                candidate = earliest_feasible(base, windows_for(key))
+                if candidate + animations[key].total <= cfg.horizon + 1e-6:
+                    starts[key].append(candidate)
+                    progressed = True
+    edges = tuple(
+        ScheduledEdge(animations[key], tuple(starts[key])) for key in sorted(animations)
+    )
+    makespan = max(
+        (ts + se.animation.total for se in edges for ts in se.starts), default=0.0
+    )
+    return Schedule(config=cfg, edges=edges, makespan=makespan)
+
+
+class TestQuadraticOracle:
+    """The incremental window lists place exactly what a full rebuild places."""
+
+    @pytest.mark.parametrize("preset", ["slowlin", "sloweas", "fastlin", "fasteas"])
+    @pytest.mark.parametrize("seed", [7, 4242, 90001])
+    def test_synth_layouts_with_and_without_horizon(self, seed, preset):
+        layout = synth_layout(seed, n_nodes=18, density=3.0, spacing=200, bias=1.5)
+        cfg = PRESETS[preset]
+        single = compute_schedule(layout, cfg)
+        assert single == quadratic_schedule(layout, cfg)
+        repeated = with_overrides(cfg, horizon=3.0 * single.makespan)
+        schedule = compute_schedule(layout, repeated)
+        assert schedule == quadratic_schedule(layout, repeated)
+        assert sum(len(se.starts) for se in schedule.edges) > 2 * len(schedule.edges)
+
+    @pytest.mark.parametrize("horizon_factor", [None, 2.0])
+    def test_zero_distinctness(self, horizon_factor):
+        layout = synth_layout(11, n_nodes=16, density=3.0, spacing=200, bias=1.5)
+        cfg = with_overrides(PRESETS["sloweas"], tau_distinct=0.0)
+        if horizon_factor is not None:
+            single = compute_schedule(layout, cfg).makespan
+            cfg = with_overrides(cfg, horizon=horizon_factor * single)
+        assert compute_schedule(layout, cfg) == quadratic_schedule(layout, cfg)
+
+    def test_candidate_exactly_on_window_end(self, cross_layout):
+        # The second edge's earliest start is the upper end of its only
+        # window; the window is open, so that instant is feasible.
+        anim_ab = edge_animation(("a", "b"), cross_layout, SLOWLIN)
+        anim_cd = edge_animation(("c", "d"), cross_layout, SLOWLIN)
+        (_, _, reach_ab, reach_cd), = conflict_constraints(
+            cross_layout, SLOWLIN, {("a", "b"): anim_ab, ("c", "d"): anim_cd}
+        )
+        occupancy = (0.0 + reach_ab, 0.0 + anim_ab.total - reach_ab)
+        _, hi = forbidden_start_window(
+            reach_cd, anim_cd.total, occupancy, SLOWLIN.tau_distinct
+        )
+        for cfg in (SLOWLIN, with_overrides(SLOWLIN, horizon=12000.0)):
+            schedule = compute_schedule(cross_layout, cfg)
+            assert schedule.starts_by_key()[("c", "d")].starts[0] == hi
+            assert schedule == quadratic_schedule(cross_layout, cfg)
+
+    def test_retired_edges_while_others_keep_placing(self):
+        # A horizon just past the first pass: long edges cannot repeat and
+        # retire after one pass, short ones go on placing for several.
+        layout = synth_layout(5, n_nodes=20, density=3.0, spacing=200, bias=1.5)
+        cfg = PRESETS["fastlin"]
+        single = compute_schedule(layout, cfg)
+        cfg = with_overrides(cfg, horizon=1.3 * single.makespan)
+        schedule = compute_schedule(layout, cfg)
+        counts = [len(se.starts) for se in schedule.edges]
+        assert min(counts) == 1 and max(counts) >= 3
+        assert schedule == quadratic_schedule(layout, cfg)
+
+    def test_tight_horizons_on_small_layouts(self):
+        rng = random.Random(2718)
+        for _ in range(12):
+            layout = synth_layout(rng.randrange(10**6), n_nodes=rng.randint(6, 14))
+            cfg = PRESETS[rng.choice(sorted(PRESETS))]
+            single = compute_schedule(layout, cfg).makespan
+            cfg = with_overrides(cfg, horizon=rng.uniform(1.0, 2.5) * single)
+            assert compute_schedule(layout, cfg) == quadratic_schedule(layout, cfg)
+
+
 class TestHorizonRepeats:
     def test_repeats_fill_the_horizon(self, cross_layout):
         base = compute_schedule(cross_layout, SLOWLIN)
@@ -270,6 +395,12 @@ class TestStats:
             )
 
 
+@pytest.fixture(scope="module")
+def sample_schedule_doc():
+    layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+    return schedule_to_dict(compute_schedule(layout, SLOWLIN))
+
+
 class TestSerialization:
     def test_round_trip_equality(self, cross_layout):
         schedule = compute_schedule(cross_layout, PRESETS["sloweas"])
@@ -289,6 +420,28 @@ class TestSerialization:
         assert schedule_to_json(schedule) == schedule_to_json(
             compute_schedule(cross_layout, SLOWLIN)
         )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"append_start": float("nan")},
+            {"append_start": float("inf")},
+            {"append_start": float("-inf")},
+            {"tau_ms": float("nan")},
+            {"tau_ms": float("inf")},
+            {"tau_ms": 1e308},
+            {"tau_ms": 1e307, "append_start": 1.7e308},
+        ],
+    )
+    def test_non_finite_times_rejected(self, sample_schedule_doc, edit):
+        doc = json.loads(json.dumps(sample_schedule_doc))
+        entry = doc["edges"][0]
+        if "tau_ms" in edit:
+            entry["tau_ms"] = edit["tau_ms"]
+        if "append_start" in edit:
+            entry["starts_ms"].append(edit["append_start"])
+        with pytest.raises(ParseError):
+            parse_schedule(json.dumps(doc))
 
     def test_config_snapshot_preserved(self, cross_layout):
         cfg = with_overrides(PRESETS["fasteas"], horizon=4000.0)

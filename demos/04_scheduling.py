@@ -8,6 +8,8 @@ An independent validator re-checks any schedule by sampling every edge's stub
 ratio millisecond by millisecond.
 """
 
+from dataclasses import replace
+
 from edgemorph import (
     EdgeSpec,
     GraphLayout,
@@ -18,7 +20,6 @@ from edgemorph import (
     compute_schedule,
     validate_schedule,
 )
-from edgemorph.kinematics import with_overrides
 
 # Two 400 px edges crossing at both midpoints.
 layout = GraphLayout(
@@ -53,7 +54,7 @@ print(f"both at zero: passed={bad_report.passed}, first violation "
       f"{first.kind} at {first.time_ms:.0f} ms")
 
 # With a schedule horizon, each edge keeps animating for as long as it fits.
-repeating = compute_schedule(layout, with_overrides(cfg, horizon=8000.0))
+repeating = compute_schedule(layout, replace(cfg, horizon=8000.0))
 for se in repeating.edges:
     print(f"  within 8 s, edge {se.animation.edge.key} animates "
           f"{len(se.starts)} times: {[round(t) for t in se.starts]}")

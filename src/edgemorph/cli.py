@@ -10,6 +10,7 @@ flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -121,6 +122,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.frame_at is not None and not math.isfinite(args.frame_at):
+        raise UsageError(f"--frame-at must be a finite time, got {args.frame_at}")
     layout = _layout(args.layout)
     schedule = parse_schedule(_read(args.schedule))
     cfg = schedule.config

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneracyError, RangeError
-from .graph import EdgeSpec, GraphLayout, Point
+from .graph import EdgeSpec, GraphLayout, Point, _collinear_overlap, _touching_pairs
 
 # Crossings closer than this, in parameter distance, to a segment endpoint are
 # treated as non-crossing; inputs are expected in general position.
@@ -60,12 +60,8 @@ def segment_intersection(
     denom = rx * sy - ry * sx
     if abs(denom) <= 1e-14 * len_r * len_s:
         # Parallel; overlapping collinear pairs are not resolvable to a point.
-        if abs(rx * qy - ry * qx) <= 1e-9 * len_r * max(math.hypot(qx, qy), len_s):
-            t0 = (qx * rx + qy * ry) / (len_r * len_r)
-            t1 = t0 + (sx * rx + sy * ry) / (len_r * len_r)
-            lo, hi = min(t0, t1), max(t0, t1)
-            if min(hi, 1.0) - max(lo, 0.0) > 1e-9:
-                raise DegeneracyError("collinear segments overlap")
+        if _collinear_overlap(a, b, c, d):
+            raise DegeneracyError("collinear segments overlap")
         return None
     t = (qx * sy - qy * sx) / denom
     u = (qx * ry - qy * rx) / denom
@@ -75,55 +71,33 @@ def segment_intersection(
     return point, t, u
 
 
-def _bbox_disjoint(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> bool:
-    (a, b), (c, d) = s1, s2
-    return (
-        max(a[0], b[0]) < min(c[0], d[0])
-        or max(c[0], d[0]) < min(a[0], b[0])
-        or max(a[1], b[1]) < min(c[1], d[1])
-        or max(c[1], d[1]) < min(a[1], b[1])
-    )
-
-
 def find_avoidable_crossings(
     layout: GraphLayout, delta0: float
 ) -> tuple[AvoidableCrossing, ...]:
     """All avoidable crossings of a layout, ordered by edge id pairs.
 
-    Scans every unordered edge pair (adjacent pairs skipped), keeps proper
+    Scans the edge pairs whose bounding boxes touch (the segment-pair pass
+    that layout validation uses too; adjacent pairs skipped) and keeps proper
     crossings whose nearer-endpoint distance exceeds delta0 on both edges.
-    Quadratic in the edge count, which is fine at the few hundred edges this
-    model targets.
     """
     if not 0.0 < delta0 < 0.5:
         raise RangeError(f"delta0 {delta0} outside (0, 1/2)")
     edges = layout.edges
     segments = [layout.endpoints(edge) for edge in edges]
     found: list[AvoidableCrossing] = []
-    for i in range(len(edges)):
-        e1 = edges[i]
-        s1 = segments[i]
-        for j in range(i + 1, len(edges)):
-            e2 = edges[j]
-            if (
-                e1.source == e2.source
-                or e1.source == e2.target
-                or e1.target == e2.source
-                or e1.target == e2.target
-            ):
-                continue
-            s2 = segments[j]
-            if _bbox_disjoint(s1, s2):
-                continue
-            hit = segment_intersection(s1, s2)
-            if hit is None:
-                continue
-            point, t, u = hit
-            if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
-                continue
-            if e1.key <= e2.key:
-                found.append(AvoidableCrossing(e1, e2, point, t, u))
-            else:
-                found.append(AvoidableCrossing(e2, e1, point, u, t))
+    for i, j in _touching_pairs(segments):
+        e1, e2 = edges[i], edges[j]
+        if e1.source in (e2.source, e2.target) or e1.target in (e2.source, e2.target):
+            continue
+        hit = segment_intersection(segments[i], segments[j])
+        if hit is None:
+            continue
+        point, t, u = hit
+        if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
+            continue
+        if e1.key <= e2.key:
+            found.append(AvoidableCrossing(e1, e2, point, t, u))
+        else:
+            found.append(AvoidableCrossing(e2, e1, point, u, t))
     found.sort(key=lambda c: (c.edge_a.key, c.edge_b.key))
     return tuple(found)

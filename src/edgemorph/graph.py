@@ -11,6 +11,9 @@ All values are immutable after construction and safe to share across threads.
 Construction checks the cheap structural invariants; :func:`parse_layout` and
 :func:`validate_layout` additionally reject pairs of collinear edges that
 overlap in more than one point, whose crossing would be a whole segment.
+That check and the crossing scan share one segment-pair pass: a numpy sweep
+over bounding boxes yields the edge pairs whose boxes touch, and only those
+reach the per-pair geometry.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParseError, RangeError, ValidationError
 
@@ -212,19 +217,47 @@ def _collinear_overlap(
     return min(hi, 1.0) - max(lo, 0.0) > 1e-9
 
 
+# Boxes are widened by this fraction of their segment's length on each side.
+# Segments that _collinear_overlap accepts hold points within
+# 1e-9 * (max(|q|, |r|) + |s|) <= 2e-9 * (|r| + |s|) of each other (r and s
+# the segments, q from r's start to s's start), so their strict boxes can be
+# that far apart; the margin covers that five times over, which leaves room
+# for float rounding in the widened ends.
+_BOX_MARGIN = 1e-8
+
+
+def _touching_pairs(segments: Sequence[tuple[Point, Point]]) -> list[tuple[int, int]]:
+    """Index pairs i < j, in ascending order, whose widened closed boxes touch.
+
+    A sweep in x-min order pairs each box with the later ones that start by
+    its x-max and keeps those whose y-ranges meet too, so memory grows with
+    the x-overlapping pairs, not with all pairs.
+    """
+    pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
+    margin = _BOX_MARGIN * np.hypot(*(pts[:, 1] - pts[:, 0]).T)[:, None]
+    lo, hi = pts.min(axis=1) - margin, pts.max(axis=1) + margin
+    order = np.argsort(lo[:, 0])
+    lo, hi = lo[order], hi[order]
+    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(len(lo)) - 1
+    first = np.repeat(np.arange(len(lo)), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    keep = (lo[second, 1] <= hi[first, 1]) & (lo[first, 1] <= hi[second, 1])
+    a, b = order[first[keep]], order[second[keep]]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    ranked = np.lexsort((j, i))
+    return list(zip(i[ranked].tolist(), j[ranked].tolist()))
+
+
 def validate_layout(layout: GraphLayout) -> None:
-    """Re-check all layout invariants, including the O(m^2) geometric ones."""
+    """Re-check all layout invariants, including the geometric ones."""
     GraphLayout(layout.nodes, layout.edges)  # structural invariants
     segments = [layout.endpoints(edge) for edge in layout.edges]
-    for i in range(len(segments)):
-        (a, b) = segments[i]
-        for j in range(i + 1, len(segments)):
-            (c, d) = segments[j]
-            if _collinear_overlap(a, b, c, d):
-                raise ValidationError(
-                    f"edges {layout.edges[i].key} and {layout.edges[j].key} "
-                    "are collinear and overlap"
-                )
+    for i, j in _touching_pairs(segments):
+        if _collinear_overlap(*segments[i], *segments[j]):
+            raise ValidationError(
+                f"edges {layout.edges[i].key} and {layout.edges[j].key} "
+                "are collinear and overlap"
+            )
 
 
 def parse_layout(raw: bytes | str) -> GraphLayout:

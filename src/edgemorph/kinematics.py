@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -281,8 +281,3 @@ def parse_config(raw: bytes | str) -> AnimationConfig:
     if not isinstance(doc, dict):
         raise ParseError("config document must be a JSON object")
     return config_from_dict(doc)
-
-
-def with_overrides(cfg: AnimationConfig, **kwargs) -> AnimationConfig:
-    """New configuration with some fields replaced."""
-    return replace(cfg, **kwargs)

@@ -42,7 +42,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .crossings import find_avoidable_crossings
 from .easing import evaluate_many, invert_many
-from .errors import ConfigError, ParseError, UsageError
+from .errors import ConfigError, ParseError, RangeError, UsageError
 from .graph import EdgeSpec, GraphLayout
 from .kinematics import (
     AnimationConfig,
@@ -55,6 +55,8 @@ from .kinematics import (
 
 _EPS_MS = 1e-6      # forgiveness for float noise in time comparisons
 _EPS_RATIO = 1e-12  # forgiveness for float noise in ratio comparisons
+#: Most samples one validator grid may hold: about 16.7 minutes at 1 ms steps.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -283,14 +285,23 @@ def validate_schedule(
     other (a gap of exactly tau_distinct is fine); (c) per-edge starts are
     non-negative, sorted, and separated by a full animation plus tau_distinct;
     (d) everything rests at delta0 at time zero. Edges absent from the
-    schedule are treated as never animating.
+    schedule are treated as never animating. A step_ms that is not a positive
+    finite number, or a grid of more than :data:`MAX_SAMPLES` samples, raises
+    RangeError before anything is allocated.
     """
+    if not 0.0 < step_ms < math.inf:
+        raise RangeError(f"validator step {step_ms} ms is not a positive finite number")
     by_key = schedule.starts_by_key()
     end = schedule.makespan
     for se in schedule.edges:
         for ts in se.starts:
             end = max(end, ts + se.animation.total)
-    count = int(np.floor(end / step_ms)) + 1 if end > 0 else 1
+    span = end / step_ms if end > 0 else 0.0
+    if not span < MAX_SAMPLES:
+        raise RangeError(
+            f"{end} ms at {step_ms} ms steps needs more than {MAX_SAMPLES} samples"
+        )
+    count = int(np.floor(span)) + 1
     times = np.arange(count) * step_ms
 
     violations: list[ScheduleViolation] = []
@@ -460,6 +471,10 @@ def schedule_from_dict(doc: dict) -> Schedule:
         if not all(map(math.isfinite, (tau, total, *starts))):
             raise ParseError(
                 f"non-finite time in schedule edge {edge.source}-{edge.target}"
+            )
+        if any(later < earlier for earlier, later in zip(starts, starts[1:])):
+            raise ParseError(
+                f"starts of schedule edge {edge.source}-{edge.target} are not sorted"
             )
         anim = EdgeAnimation(edge=edge, tau=tau, total=total)
         edges.append(ScheduledEdge(anim, starts))

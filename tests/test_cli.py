@@ -247,6 +247,51 @@ class TestRender:
             err = capsys.readouterr().err
             assert "non-finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_frame_at_is_usage_error(
+        self, layout_file, schedule_file, tmp_path, capsys, value
+    ):
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(
+            [
+                "render",
+                str(layout_file),
+                "--schedule",
+                str(schedule_file),
+                "--out",
+                str(out_dir),
+                f"--frame-at={value}",
+            ]
+        )
+        assert rc == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert "--frame-at must be a finite time" in err and "Traceback" not in err
+
+    def test_unsorted_starts_are_domain_errors(self, layout_file, tmp_path, capsys):
+        repeat = tmp_path / "repeat.json"
+        rc = main(
+            ["schedule", str(layout_file), "--model", "slowlin", "--horizon", "9000", "-o", str(repeat)]
+        )
+        assert rc == 0
+        doc = json.loads(repeat.read_text(encoding="utf-8"))
+        assert len(doc["edges"][0]["starts_ms"]) >= 2
+        doc["edges"][0]["starts_ms"].reverse()
+        bad = tmp_path / "reversed.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        for extra in ([], ["--animated"], ["--frame-at", "100"]):
+            out_dir = tmp_path / "out"
+            rc = main(
+                ["render", str(layout_file), "--schedule", str(bad), "--out", str(out_dir)]
+                + extra
+            )
+            assert rc == 1
+            assert not out_dir.exists()
+            err = capsys.readouterr().err
+            assert "not sorted" in err and "Traceback" not in err
+
     def test_animated_output(self, layout_file, schedule_file, tmp_path):
         out_dir = tmp_path / "anim"
         rc = main(

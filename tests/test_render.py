@@ -91,9 +91,7 @@ class TestSampleFrame:
                 assert frame_ratio == pytest.approx(float(series[i]), abs=1e-12)
 
     def test_repeated_animation_uses_latest_start(self, cross_layout):
-        from edgemorph.kinematics import with_overrides
-
-        cfg = with_overrides(SLOWLIN, horizon=7000.0)
+        cfg = replace(SLOWLIN, horizon=7000.0)
         schedule = compute_schedule(cross_layout, cfg)
         se = schedule.starts_by_key()[("a", "b")]
         assert len(se.starts) >= 2

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from edgemorph import (
     NodeSpec,
     PRESETS,
     ParseError,
+    RangeError,
     Schedule,
     ScheduledEdge,
     UsageError,
@@ -23,7 +25,8 @@ from edgemorph import (
     schedule_to_json,
     validate_schedule,
 )
-from edgemorph.kinematics import ceil_ms, with_overrides
+import edgemorph.scheduling as scheduling
+from edgemorph.kinematics import ceil_ms
 from edgemorph.scheduling import conflict_constraints
 from conftest import DATA_DIR
 from gen_layouts import synth_layout, valid_synth_layout
@@ -219,7 +222,7 @@ class TestQuadraticOracle:
         cfg = PRESETS[preset]
         single = compute_schedule(layout, cfg)
         assert single == quadratic_schedule(layout, cfg)
-        repeated = with_overrides(cfg, horizon=3.0 * single.makespan)
+        repeated = replace(cfg, horizon=3.0 * single.makespan)
         schedule = compute_schedule(layout, repeated)
         assert schedule == quadratic_schedule(layout, repeated)
         assert sum(len(se.starts) for se in schedule.edges) > 2 * len(schedule.edges)
@@ -227,10 +230,10 @@ class TestQuadraticOracle:
     @pytest.mark.parametrize("horizon_factor", [None, 2.0])
     def test_zero_distinctness(self, horizon_factor):
         layout = synth_layout(11, n_nodes=16, density=3.0, spacing=200, bias=1.5)
-        cfg = with_overrides(PRESETS["sloweas"], tau_distinct=0.0)
+        cfg = replace(PRESETS["sloweas"], tau_distinct=0.0)
         if horizon_factor is not None:
             single = compute_schedule(layout, cfg).makespan
-            cfg = with_overrides(cfg, horizon=horizon_factor * single)
+            cfg = replace(cfg, horizon=horizon_factor * single)
         assert compute_schedule(layout, cfg) == quadratic_schedule(layout, cfg)
 
     def test_candidate_exactly_on_window_end(self, cross_layout):
@@ -245,7 +248,7 @@ class TestQuadraticOracle:
         _, hi = forbidden_start_window(
             reach_cd, anim_cd.total, occupancy, SLOWLIN.tau_distinct
         )
-        for cfg in (SLOWLIN, with_overrides(SLOWLIN, horizon=12000.0)):
+        for cfg in (SLOWLIN, replace(SLOWLIN, horizon=12000.0)):
             schedule = compute_schedule(cross_layout, cfg)
             assert schedule.starts_by_key()[("c", "d")].starts[0] == hi
             assert schedule == quadratic_schedule(cross_layout, cfg)
@@ -256,7 +259,7 @@ class TestQuadraticOracle:
         layout = synth_layout(5, n_nodes=20, density=3.0, spacing=200, bias=1.5)
         cfg = PRESETS["fastlin"]
         single = compute_schedule(layout, cfg)
-        cfg = with_overrides(cfg, horizon=1.3 * single.makespan)
+        cfg = replace(cfg, horizon=1.3 * single.makespan)
         schedule = compute_schedule(layout, cfg)
         counts = [len(se.starts) for se in schedule.edges]
         assert min(counts) == 1 and max(counts) >= 3
@@ -268,14 +271,14 @@ class TestQuadraticOracle:
             layout = synth_layout(rng.randrange(10**6), n_nodes=rng.randint(6, 14))
             cfg = PRESETS[rng.choice(sorted(PRESETS))]
             single = compute_schedule(layout, cfg).makespan
-            cfg = with_overrides(cfg, horizon=rng.uniform(1.0, 2.5) * single)
+            cfg = replace(cfg, horizon=rng.uniform(1.0, 2.5) * single)
             assert compute_schedule(layout, cfg) == quadratic_schedule(layout, cfg)
 
 
 class TestHorizonRepeats:
     def test_repeats_fill_the_horizon(self, cross_layout):
         base = compute_schedule(cross_layout, SLOWLIN)
-        cfg = with_overrides(SLOWLIN, horizon=3.0 * base.makespan)
+        cfg = replace(SLOWLIN, horizon=3.0 * base.makespan)
         schedule = compute_schedule(cross_layout, cfg)
         for se in schedule.edges:
             assert len(se.starts) >= 2
@@ -289,7 +292,7 @@ class TestHorizonRepeats:
         assert all(len(se.starts) == 1 for se in schedule.edges)
 
     def test_horizon_too_small(self, cross_layout):
-        cfg = with_overrides(SLOWLIN, horizon=1000.0)
+        cfg = replace(SLOWLIN, horizon=1000.0)
         with pytest.raises(ConfigError):
             compute_schedule(cross_layout, cfg)
 
@@ -301,7 +304,7 @@ class TestHorizonRepeats:
             )
             base_cfg = PRESETS["fasteas"]
             single = compute_schedule(layout, base_cfg)
-            cfg = with_overrides(base_cfg, horizon=2.5 * single.makespan)
+            cfg = replace(base_cfg, horizon=2.5 * single.makespan)
             schedule = compute_schedule(layout, cfg)
             assert sum(len(se.starts) for se in schedule.edges) > len(schedule.edges)
             report = validate_schedule(layout, cfg, schedule)
@@ -376,7 +379,7 @@ class TestStats:
         assert stats.slowdown == pytest.approx(expected, abs=1e-12)
 
     def test_basic_numbers(self, cross_layout):
-        cfg = with_overrides(SLOWLIN, horizon=7000.0)
+        cfg = replace(SLOWLIN, horizon=7000.0)
         schedule = compute_schedule(cross_layout, cfg)
         stats = schedule_stats(schedule)
         assert stats.edge_count == 2
@@ -443,8 +446,53 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_schedule(json.dumps(doc))
 
+    def test_unsorted_starts_rejected(self, cross_layout):
+        doc = schedule_to_dict(
+            compute_schedule(cross_layout, replace(SLOWLIN, horizon=9000.0))
+        )
+        entry = doc["edges"][0]
+        assert len(entry["starts_ms"]) >= 2
+        entry["starts_ms"].append(entry["starts_ms"][-1])  # a repeat is not a reversal
+        assert parse_schedule(json.dumps(doc)).edges[0].starts == tuple(entry["starts_ms"])
+        entry["starts_ms"].reverse()
+        with pytest.raises(ParseError, match="not sorted"):
+            parse_schedule(json.dumps(doc))
+
     def test_config_snapshot_preserved(self, cross_layout):
-        cfg = with_overrides(PRESETS["fasteas"], horizon=4000.0)
+        cfg = replace(PRESETS["fasteas"], horizon=4000.0)
         schedule = compute_schedule(cross_layout, cfg)
         back = parse_schedule(schedule_to_json(schedule))
         assert back.config == cfg
+
+
+class TestValidatorGrid:
+    def test_huge_start_is_range_error(self, cross_layout):
+        doc = schedule_to_dict(compute_schedule(cross_layout, SLOWLIN))
+        doc["edges"][0]["starts_ms"].append(1e300)
+        schedule = parse_schedule(json.dumps(doc))
+        with pytest.raises(RangeError, match="samples"):
+            validate_schedule(cross_layout, SLOWLIN, schedule)
+
+    @pytest.mark.parametrize(
+        "step_ms", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_step_is_range_error(self, cross_layout, step_ms):
+        schedule = compute_schedule(cross_layout, SLOWLIN)
+        with pytest.raises(RangeError, match="step"):
+            validate_schedule(cross_layout, SLOWLIN, schedule, step_ms=step_ms)
+
+    def test_cap_boundary(self, cross_layout, monkeypatch):
+        schedule = compute_schedule(cross_layout, SLOWLIN)
+        count = validate_schedule(cross_layout, SLOWLIN, schedule).sample_count
+        monkeypatch.setattr(scheduling, "MAX_SAMPLES", count)
+        assert validate_schedule(cross_layout, SLOWLIN, schedule).sample_count == count
+        monkeypatch.setattr(scheduling, "MAX_SAMPLES", count - 1)
+        with pytest.raises(RangeError):
+            validate_schedule(cross_layout, SLOWLIN, schedule)
+
+    def test_three_minute_horizon_fits(self, cross_layout):
+        cfg = replace(SLOWLIN, horizon=180_000.0)
+        schedule = compute_schedule(cross_layout, cfg)
+        report = validate_schedule(cross_layout, cfg, schedule)
+        assert report.passed
+        assert 170_000 < report.sample_count <= scheduling.MAX_SAMPLES

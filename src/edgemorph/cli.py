@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: validate, crossings, schedule, render, trial, stats. Exit code 0
+Subcommands: validate, crossings, schedule, check, render, trial, stats. Exit code 0
 on success, 1 on domain or validation failures, 2 on usage errors; all
 diagnostics go to stderr. Animation parameters resolve in layers: built-in
 defaults, then a config file, then a named model preset, then individual
@@ -26,6 +26,7 @@ from .scheduling import (
     parse_schedule,
     schedule_stats,
     schedule_to_json,
+    validate_schedule,
 )
 from .tasks import TASKS, apply_trial_roles, make_trial, trial_to_json
 
@@ -121,6 +122,23 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+def _cmd_check(args) -> int:
+    layout = _layout(args.layout)
+    schedule = parse_schedule(_read(args.schedule))
+    report = validate_schedule(layout, schedule.config, schedule)
+    if report.passed:
+        print(f"passed {report.sample_count} samples at {report.step_ms} ms")
+        return 0
+    for v in report.violations:
+        edges = " ".join(f"{a},{b}" for a, b in v.edges)
+        print(f"{v.kind} {v.time_ms:.3f} {edges} {v.detail}")
+    total = sum(report.violation_counts.values())
+    kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(report.violation_counts.items()))
+    unlisted = total - len(report.violations)
+    print(f"failed {total} violations ({kinds}), {unlisted} not listed")
+    return 1
+
+
 def _cmd_render(args) -> int:
     if args.frame_at is not None and not math.isfinite(args.frame_at):
         raise UsageError(f"--frame-at must be a finite time, got {args.frame_at}")
@@ -202,6 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, help="schedule horizon ms")
     _add_config_flags(p)
     p.set_defaults(handler=_cmd_schedule)
+
+    p = sub.add_parser("check", help="validate a schedule against its layout")
+    p.add_argument("layout")
+    p.add_argument("schedule", help="schedule file")
+    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("render", help="render frames or an animated document")
     p.add_argument("layout")

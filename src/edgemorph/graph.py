@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -198,31 +199,49 @@ def stub_pair(
 def _collinear_overlap(
     a: Point, b: Point, c: Point, d: Point
 ) -> bool:
-    """True if segments ab and cd lie on one line and share more than a point."""
+    """True if segments ab and cd lie on one line and share more than a point.
+
+    The tolerances are relative to the longer segment, which is taken as the
+    reference line (ties broken by coordinates), so the verdict does not
+    depend on which segment comes first.
+    """
     rx, ry = b[0] - a[0], b[1] - a[1]
-    length = math.hypot(rx, ry)
-    if length == 0.0:
-        return False
     sx, sy = d[0] - c[0], d[1] - c[1]
-    if abs(rx * sy - ry * sx) > 1e-9 * length * math.hypot(sx, sy):
+    length, other = math.hypot(rx, ry), math.hypot(sx, sy)
+    # The parallel test is symmetric once its bound takes the longer length
+    # first, as the reordered test would, so it runs before the reordering.
+    bound = 1e-9 * length * other if length >= other else 1e-9 * other * length
+    if abs(rx * sy - ry * sx) > bound:
+        return False
+    if (other, c, d) > (length, a, b):
+        a, b, c, d = c, d, a, b
+        rx, ry, sx, sy, length, other = sx, sy, rx, ry, other, length
+    if length == 0.0:
         return False
     qx, qy = c[0] - a[0], c[1] - a[1]
     if abs(rx * qy - ry * qx) > 1e-9 * length * max(math.hypot(qx, qy), length):
         return False
-    # Same supporting line: compare 1-D extents along ab.
+    # Same supporting line: compare 1-D extents along ab. Below about
+    # 1e-154 px the squared length is subnormal or 0, so such an edge is
+    # measured on its unit direction instead.
     denom = length * length
-    t0 = (qx * rx + qy * ry) / denom
-    t1 = t0 + (sx * rx + sy * ry) / denom
+    if denom >= sys.float_info.min:
+        t0 = (qx * rx + qy * ry) / denom
+        t1 = t0 + (sx * rx + sy * ry) / denom
+    else:
+        ux, uy = rx / length, ry / length
+        t0 = (qx * ux + qy * uy) / length
+        t1 = t0 + (sx * ux + sy * uy) / length
     lo, hi = min(t0, t1), max(t0, t1)
     return min(hi, 1.0) - max(lo, 0.0) > 1e-9
 
 
 # Boxes are widened by this fraction of their segment's length on each side.
-# Segments that _collinear_overlap accepts hold points within
-# 1e-9 * (max(|q|, |r|) + |s|) <= 2e-9 * (|r| + |s|) of each other (r and s
-# the segments, q from r's start to s's start), so their strict boxes can be
-# that far apart; the margin covers that five times over, which leaves room
-# for float rounding in the widened ends.
+# Segments that _collinear_overlap accepts, r the longer one, hold points
+# within 1e-9 * (max(|q|, |r|) + |s|) <= 2e-9 * (|r| + |s|) of each other (q
+# from r's start to s's start, at most |r| + |s| long when they overlap), so
+# their strict boxes can be that far apart; the margin covers that five
+# times over, which leaves room for float rounding in the widened ends.
 _BOX_MARGIN = 1e-8
 
 

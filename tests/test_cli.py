@@ -2,8 +2,17 @@ import json
 
 import pytest
 
-from edgemorph import layout_to_json, parse_layout, parse_schedule
+from edgemorph import (
+    PRESETS,
+    compute_schedule,
+    layout_to_json,
+    parse_layout,
+    parse_schedule,
+    schedule_to_dict,
+    validate_schedule,
+)
 from edgemorph.cli import main
+from conftest import DATA_DIR
 from gen_layouts import two_segment_cross
 
 TWO_NODE_DOC = json.dumps(
@@ -55,6 +64,25 @@ class TestValidate:
 
     def test_usage_error(self):
         assert main(["validate"]) == 2
+
+    @pytest.mark.parametrize(
+        "xs, verdict",
+        [
+            # A subnormal-length edge on the line of a 10 px one.
+            ((0.0, 1e-314, -5.0, 5.0), 0),
+            # Two subnormal-length edges overlapping on one line.
+            ((0.0, 3e-314, 1e-314, 4e-314), 1),
+        ],
+    )
+    def test_subnormal_edge_lengths(self, tmp_path, capsys, xs, verdict):
+        doc = {
+            "nodes": [{"id": n, "x": x, "y": 1e-10} for n, x in zip("abcd", xs)],
+            "edges": [{"source": "a", "target": "b"}, {"source": "c", "target": "d"}],
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == verdict
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
@@ -148,6 +176,57 @@ class TestSchedule:
         )
         assert rc == 1
         assert "horizon" in capsys.readouterr().err
+
+
+class TestCheck:
+    def test_valid_schedule_passes(self, layout_file, schedule_file, capsys):
+        assert main(["check", str(layout_file), str(schedule_file)]) == 0
+        assert capsys.readouterr().out.startswith("passed ")
+
+    def test_violations_are_listed(self, layout_file, schedule_file, tmp_path, capsys):
+        doc = json.loads(schedule_file.read_text(encoding="utf-8"))
+        for entry in doc["edges"]:
+            entry["starts_ms"] = [0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(layout_file), str(bad)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("crossing-separation ")
+        assert "a,b c,d" in lines[0]
+        assert lines[-1] == "failed 1 violations (1 crossing-separation), 0 not listed"
+
+    def test_unlisted_violations_are_counted(self, tmp_path, capsys):
+        layout_path = DATA_DIR / "sample_dense_40.json"
+        layout = parse_layout(layout_path.read_bytes())
+        doc = schedule_to_dict(compute_schedule(layout, PRESETS["fastlin"]))
+        for entry in doc["edges"]:
+            entry["starts_ms"] = [0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        schedule = parse_schedule(path.read_bytes())
+        report = validate_schedule(layout, schedule.config, schedule)
+        total = sum(report.violation_counts.values())
+        assert total > 100
+        assert main(["check", str(layout_path), str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 101
+        assert lines[-1].endswith(f", {total - 100} not listed")
+
+    @pytest.mark.parametrize("content", ["{not json", None])
+    def test_domain_errors_exit_one(
+        self, layout_file, schedule_file, tmp_path, capsys, content
+    ):
+        if content is None:
+            # A finite start so late that the sample grid would not fit.
+            doc = json.loads(schedule_file.read_text(encoding="utf-8"))
+            doc["edges"][0]["starts_ms"].append(1e300)
+            content = json.dumps(doc)
+        path = tmp_path / "odd.json"
+        path.write_text(content, encoding="utf-8")
+        assert main(["check", str(layout_file), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
 
 class TestRender:

@@ -17,7 +17,13 @@ from edgemorph import (
     parse_easing,
     verify_monotone,
 )
-from edgemorph.easing import CUBIC_KIND, evaluate_many, invert_many
+from edgemorph.easing import (
+    CUBIC_KIND,
+    EasingEval,
+    _solve_monotone_cubic,
+    evaluate_many,
+    invert_many,
+)
 
 
 def de_casteljau(p, points):
@@ -122,6 +128,54 @@ def test_round_trip_on_dense_grid(spec):
 def test_identity_bezier_matches_linear():
     grid = np.linspace(0.0, 1.0, 10_000)
     assert np.max(np.abs(evaluate_many(IDENTITY_BEZIER, grid) - grid)) <= 1e-6
+
+
+def masked_newton_solve(coeffs, targets):
+    """The solver before its trim: every sweep masks and records its step."""
+    a, b, c = coeffs
+    t = np.asarray(targets, dtype=float)
+    p = np.clip(t, 0.0, 1.0)
+    last_step = np.full(t.shape, np.inf)
+    for _ in range(8):
+        residual = ((a * p + b) * p + c) * p - t
+        deriv = (3.0 * a * p + 2.0 * b) * p + c
+        safe = np.abs(deriv) > 1e-12
+        step = np.where(safe, residual / np.where(safe, deriv, 1.0), np.inf)
+        new_p = np.clip(p - np.where(np.isfinite(step), step, 0.0), 0.0, 1.0)
+        last_step = np.where(np.isfinite(step), np.abs(new_p - p), np.inf)
+        p = new_p
+    residual = ((a * p + b) * p + c) * p - t
+    unsettled = (np.abs(residual) > 1e-9) | (last_step > 1e-9)
+    if np.any(unsettled):
+        tt = t[unsettled]
+        lo = np.zeros_like(tt)
+        hi = np.ones_like(tt)
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            below = ((a * mid + b) * mid + c) * mid < tt
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        p[unsettled] = 0.5 * (lo + hi)
+    return p
+
+
+#: Zero slope at p = 0 on both axes, so a target of 0 takes the masked sweep.
+EASE_OUT = EasingSpec(CUBIC_KIND, 0.0, 0.0, 0.58, 1.0)
+
+
+@pytest.mark.parametrize("spec", [EASE, IDENTITY_BEZIER, EASE_OUT])
+def test_newton_trim_is_bit_identical(spec):
+    rng = np.random.default_rng(20)
+    targets = np.concatenate(([0.0, 1.0], rng.random(100_000)))
+    ev = EasingEval(spec)
+    for coeffs in (ev._xc, ev._yc):
+        assert np.array_equal(
+            _solve_monotone_cubic(coeffs, targets), masked_newton_solve(coeffs, targets)
+        )
+        assert np.array_equal(
+            _solve_monotone_cubic(coeffs, targets[2:]),
+            masked_newton_solve(coeffs, targets[2:]),
+        )
 
 
 class TestVerifyMonotone:

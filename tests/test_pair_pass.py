@@ -6,6 +6,9 @@ to ``graph._collinear_overlap``. The all-pairs loops they replaced are kept
 here as test-local oracles, with the strict bounding-box filter and the
 scan's own copy of the collinearity test: verdicts, the first offending pair
 named by ``ValidationError`` and the crossing tuples must all be equal.
+The oracle hands the longer segment of each pair to the old collinearity
+test first, as the shared test does: that order makes the verdict
+independent of edge order, and is the one intended difference.
 """
 
 import math
@@ -51,13 +54,19 @@ def old_collinear_overlap(a, b, c, d):
     return min(hi, 1.0) - max(lo, 0.0) > 1e-9
 
 
+def longer_first(s1, s2):
+    """The pair with the longer segment first, ties broken by coordinates."""
+    key1 = (math.hypot(s1[1][0] - s1[0][0], s1[1][1] - s1[0][1]), *s1)
+    key2 = (math.hypot(s2[1][0] - s2[0][0], s2[1][1] - s2[0][1]), *s2)
+    return (s2, s1) if key2 > key1 else (s1, s2)
+
+
 def old_validate_layout(layout):
     GraphLayout(layout.nodes, layout.edges)
     segments = [layout.endpoints(edge) for edge in layout.edges]
     for i in range(len(segments)):
-        (a, b) = segments[i]
         for j in range(i + 1, len(segments)):
-            (c, d) = segments[j]
+            (a, b), (c, d) = longer_first(segments[i], segments[j])
             if old_collinear_overlap(a, b, c, d):
                 raise ValidationError(
                     f"edges {layout.edges[i].key} and {layout.edges[j].key} "
@@ -238,17 +247,37 @@ class TestNearCollinearPair:
             find_avoidable_crossings(layout, 0.25)
 
     def test_scan_accepts_what_validation_accepts(self):
-        # A short edge and a long parallel one 5.7e-9 px off its line. The
-        # old parallel branch scaled its tolerance by the second segment's
-        # length and raised on this valid layout; the shared test does not.
-        e = 4e-9
-        layout = two_edge_layout(
-            (0.0, 0.0), (1.0, 1.0), (0.5 + e, 0.5 - e), (1000.5 + e, 1000.5 - e)
-        )
+        # A unit edge and a 1e4 px collinear one overlapping it by 5e-6 px:
+        # under the 1e-9 relative tolerance of the long edge. The old
+        # parallel branch measured the overlap along the first segment and
+        # raised on this valid layout; the shared test does not.
+        c = 1.0 - 5e-6
+        layout = two_edge_layout((0.0, 0.0), (1.0, 0.0), (c, 0.0), (c + 1e4, 0.0))
         validate_layout(layout)
         with pytest.raises(DegeneracyError):
             old_find_avoidable_crossings(layout, 0.25)
         assert find_avoidable_crossings(layout, 0.25) == ()
+
+    @pytest.mark.parametrize(
+        "short, long",
+        [
+            (((0.0, 0.0), (1.0, 0.0)), ((0.5, 5e-9), (1000.5, 5e-9))),
+            (((0.0, 0.0), (1.0, 1.0)), ((0.5 + 4e-9, 0.5 - 4e-9), (1000.5 + 4e-9, 1000.5 - 4e-9))),
+        ],
+    )
+    def test_verdict_does_not_depend_on_edge_order(self, short, long):
+        # Measured against the short edge, the long one lies off its line;
+        # against the long edge, the short one lies on it. The old test used
+        # whichever edge came first.
+        assert old_collinear_overlap(*short, *long) is False
+        assert old_collinear_overlap(*long, *short) is True
+        assert _collinear_overlap(*short, *long) is _collinear_overlap(*long, *short) is True
+        nodes = tuple(NodeSpec(n, *p) for n, p in zip("abcd", (*short, *long)))
+        for edges in ((EdgeSpec("a", "b"), EdgeSpec("c", "d")), (EdgeSpec("c", "d"), EdgeSpec("a", "b"))):
+            with pytest.raises(ValidationError):
+                validate_layout(GraphLayout(nodes, edges))
+            with pytest.raises(DegeneracyError):
+                find_avoidable_crossings(GraphLayout(nodes, edges), 0.25)
 
 
 class TestTouchingPairs:
@@ -326,6 +355,7 @@ def test_near_collinear_pairs_match_oracle(ax, ay, angle, length, t0, t1, offset
     assume(abs(t1 - t0) > 1e-6 and len(set(points)) == 4)
     layout = two_edge_layout(*points)
 
+    assert _collinear_overlap(a, b, c, d) == _collinear_overlap(c, d, a, b)
     for s1, s2 in (((a, b), (c, d)), ((c, d), (a, b))):
         if _collinear_overlap(*s1, *s2):
             assert _touching_pairs([s1, s2]) == [(0, 1)]

@@ -2,7 +2,9 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d
 
 from edgemorph import (
     ConfigError,
@@ -13,10 +15,13 @@ from edgemorph import (
     ParseError,
     RangeError,
     Schedule,
+    ScheduleReport,
+    ScheduleViolation,
     ScheduledEdge,
     UsageError,
     compute_schedule,
     edge_animation,
+    find_avoidable_crossings,
     forbidden_start_window,
     parse_layout,
     parse_schedule,
@@ -27,7 +32,7 @@ from edgemorph import (
 )
 import edgemorph.scheduling as scheduling
 from edgemorph.kinematics import ceil_ms
-from edgemorph.scheduling import conflict_constraints
+from edgemorph.scheduling import conflict_constraints, sample_ratio_series
 from conftest import DATA_DIR
 from gen_layouts import synth_layout, valid_synth_layout
 
@@ -365,6 +370,254 @@ class TestValidateSchedule:
             makespan=0.0,
         )
         assert validate_schedule(cross_layout, SLOWLIN, silent).passed
+
+
+def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
+    """Reference validator: every edge sampled and dilated over the whole grid.
+
+    The validator as it was before span sampling, without its grid-size
+    guards, counting violations as well as listing the first 100.
+    """
+    eps_ms, eps_ratio = 1e-6, 1e-12
+    by_key = schedule.starts_by_key()
+    end = schedule.makespan
+    for se in schedule.edges:
+        for ts in se.starts:
+            end = max(end, ts + se.animation.total)
+    span = end / step_ms if end > 0 else 0.0
+    count = int(np.floor(span)) + 1
+    times = np.arange(count) * step_ms
+    violations = []
+    counts = {}
+
+    def add(kind, time_ms, edges, detail):
+        counts[kind] = counts.get(kind, 0) + 1
+        if len(violations) < 100:
+            violations.append(ScheduleViolation(kind, time_ms, edges, detail))
+
+    for se in schedule.edges:
+        key = se.animation.edge.key
+        prev = None
+        for ts in se.starts:
+            if ts < 0.0:
+                add("start-separation", ts, (key,), "negative start")
+            if prev is not None:
+                needed = se.animation.total + cfg.tau_distinct
+                if ts - prev < needed - eps_ms:
+                    add(
+                        "start-separation",
+                        ts,
+                        (key,),
+                        f"gap {ts - prev} ms < animation + distinctness {needed} ms",
+                    )
+            prev = ts
+
+    series = {}
+    for se in schedule.edges:
+        key = se.animation.edge.key
+        values = sample_ratio_series(se.animation, se.starts, cfg, times)
+        series[key] = values
+        if abs(values[0] - cfg.delta0) > eps_ratio:
+            add("initial-frame", 0.0, (key,), f"ratio {values[0]} at time 0")
+        bad = (values < cfg.delta0 - eps_ratio) | (values > 0.5 + eps_ratio)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            add("ratio-range", float(times[i]), (key,), f"ratio {values[i]}")
+
+    lag = int(np.floor((cfg.tau_distinct - eps_ms) / step_ms))
+    if lag >= 0:
+        for crossing in find_avoidable_crossings(layout, cfg.delta0):
+            key_a, key_b = crossing.edge_a.key, crossing.edge_b.key
+            if key_a not in by_key or key_b not in by_key:
+                continue
+            nearer_a = min(crossing.ratio_a, 1.0 - crossing.ratio_a)
+            nearer_b = min(crossing.ratio_b, 1.0 - crossing.ratio_b)
+            dilated_b = maximum_filter1d(
+                series[key_b], size=2 * lag + 1, mode="constant", cval=cfg.delta0
+            )
+            clash = (series[key_a] >= nearer_a - eps_ratio) & (
+                dilated_b >= nearer_b - eps_ratio
+            )
+            if np.any(clash):
+                i = int(np.argmax(clash))
+                add(
+                    "crossing-separation",
+                    float(times[i]),
+                    (key_a, key_b),
+                    f"both within {cfg.tau_distinct} ms of crossing "
+                    f"({crossing.point[0]:.3f}, {crossing.point[1]:.3f})",
+                )
+
+    return ScheduleReport(
+        passed=not violations,
+        sample_count=count,
+        step_ms=step_ms,
+        violations=tuple(violations),
+        violation_counts=counts,
+    )
+
+
+def schedule_variants(layout, schedule, rng):
+    """The schedule itself plus hand-broken copies of it, by name."""
+    edges = list(schedule.edges)
+    keys = [se.animation.edge.key for se in edges]
+    index = {key: i for i, key in enumerate(keys)}
+
+    def with_starts(changes):
+        out = list(edges)
+        for i, starts in changes.items():
+            out[i] = ScheduledEdge(out[i].animation, tuple(starts))
+        makespan = max(
+            (ts + se.animation.total for se in out for ts in se.starts), default=0.0
+        )
+        return Schedule(config=schedule.config, edges=tuple(out), makespan=makespan)
+
+    picks = rng.sample(range(len(edges)), 6)
+    crossing = find_avoidable_crossings(layout, schedule.config.delta0)[0]
+    a, b = index[crossing.edge_a.key], index[crossing.edge_b.key]
+    first = edges[picks[0]]
+    return {
+        "valid": schedule,
+        "shifted": with_starts(
+            {
+                i: sorted(max(0.0, ts + rng.uniform(-400.0, 400.0)) for ts in edges[i].starts)
+                for i in picks
+            }
+        ),
+        "crossing partners together": with_starts({b: edges[a].starts}),
+        "too-close starts": with_starts(
+            {picks[0]: (first.starts[0], first.starts[0] + 0.5 * first.animation.total)}
+        ),
+        "negative start": with_starts({picks[1]: (-0.4 * edges[picks[1]].animation.total,)}),
+        "edges missing": Schedule(
+            config=schedule.config,
+            edges=tuple(se for i, se in enumerate(edges) if i not in picks[:3]),
+            makespan=schedule.makespan,
+        ),
+        "edges without starts": with_starts({i: () for i in picks[2:5]}),
+        "unsorted starts": with_starts(
+            {picks[5]: (edges[picks[5]].starts[0] + 5000.0, edges[picks[5]].starts[0])}
+        ),
+        "all at zero": with_starts({i: (0.0,) for i in range(len(edges))}),
+    }
+
+
+class TestDenseOracle:
+    """Span sampling reports exactly what sampling the whole grid reports."""
+
+    @pytest.mark.parametrize(
+        "preset, step_ms",
+        [
+            ("slowlin", 1.0),
+            ("sloweas", 1.0),
+            ("fastlin", 1.0),
+            ("fasteas", 1.0),
+            ("sloweas", 0.5),
+            ("fastlin", 3.0),
+        ],
+    )
+    def test_synth_schedules(self, preset, step_ms):
+        layout = synth_layout(53, n_nodes=12, density=2.5, spacing=200, bias=1.5)
+        cfg = PRESETS[preset]
+        single = compute_schedule(layout, cfg)
+        repeated = compute_schedule(layout, replace(cfg, horizon=1.5 * single.makespan))
+        rng = random.Random(f"{preset}-{step_ms}")
+        seen = set()
+        for schedule in (single, repeated):
+            for name, variant in schedule_variants(layout, schedule, rng).items():
+                report = validate_schedule(layout, cfg, variant, step_ms)
+                assert report == dense_validate_schedule(layout, cfg, variant, step_ms), name
+                if name in ("valid", "edges missing", "edges without starts"):
+                    assert report.passed, name
+                elif name != "shifted":
+                    assert not report.passed, name
+                seen.update(report.violation_counts)
+        assert seen == {"crossing-separation", "start-separation", "initial-frame"}
+
+    def test_listing_is_capped_and_counts_are_not(self):
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        schedule = compute_schedule(layout, SLOWLIN)
+        edges = tuple(ScheduledEdge(se.animation, (0.0,)) for se in schedule.edges)
+        at_zero = replace(schedule, edges=edges)
+        report = validate_schedule(layout, SLOWLIN, at_zero)
+        assert report == dense_validate_schedule(layout, SLOWLIN, at_zero)
+        assert len(report.violations) == 100
+        assert report.violation_counts["crossing-separation"] > 100
+
+    @pytest.mark.parametrize("offset_px", [1e-7, 0.15, 4.85])
+    def test_clash_on_the_ends_of_the_widened_span(self, offset_px):
+        # c-d crosses a-b offset_px beyond its resting stub: 1e-7 px keeps it
+        # covering the point on every sample of its span, the others make it
+        # start or stop covering one or about lag samples inside the span.
+        # a-b covers the point only while fully drawn. Quarter-millisecond
+        # moves of a-b across both ends of c-d's coverage put the first
+        # clash on each sample near the ends of c-d's widened span.
+        layout = GraphLayout(
+            (
+                NodeSpec("a", 0.0, 0.0),
+                NodeSpec("b", 100.0, 0.0),
+                NodeSpec("c", 50.0, -25.0 - offset_px),
+                NodeSpec("d", 50.0, 75.0 - offset_px),
+            ),
+            (EdgeSpec("a", "b"), EdgeSpec("c", "d")),
+        )
+        (crossing,) = find_avoidable_crossings(layout, SLOWLIN.delta0)
+        nearer = crossing.ratio_b
+        assert crossing.ratio_b - SLOWLIN.delta0 > 1e-12
+        ab, cd = (edge_animation(edge, layout, SLOWLIN) for edge in layout.edges)
+        cd_start = 5000.0
+        grid = np.arange(7000.0)
+        ratio = sample_ratio_series(cd, (cd_start,), SLOWLIN, grid)
+        covered = grid[ratio >= nearer - 1e-12]
+        after = covered[-1] + SLOWLIN.tau_distinct - ab.tau
+        before = covered[0] - SLOWLIN.tau_distinct - ab.tau - SLOWLIN.tau_half
+        for base in (after, before):
+            verdicts = set()
+            for k in range(-8, 9):
+                edges = (
+                    ScheduledEdge(ab, (base + 0.25 * k,)),
+                    ScheduledEdge(cd, (cd_start,)),
+                )
+                makespan = max(base + 0.25 * k + ab.total, cd_start + cd.total)
+                schedule = Schedule(config=SLOWLIN, edges=edges, makespan=makespan)
+                report = validate_schedule(layout, SLOWLIN, schedule)
+                assert report == dense_validate_schedule(layout, SLOWLIN, schedule)
+                verdicts.add(report.passed)
+            assert verdicts == {True, False}
+
+    def test_resting_ratio_within_noise_of_a_crossing(self):
+        # The crossing sits at ratio 0.3 of a-b, and delta0 lies 5e-13 below
+        # it: at rest a-b already counts as covering the point, so a clash
+        # can fall outside a-b's animated span.
+        layout = GraphLayout(
+            (
+                NodeSpec("a", 0.0, 0.0),
+                NodeSpec("b", 100.0, 0.0),
+                NodeSpec("c", 30.0, -50.0),
+                NodeSpec("d", 30.0, 50.0),
+            ),
+            (EdgeSpec("a", "b"), EdgeSpec("c", "d")),
+        )
+        cfg = replace(SLOWLIN, delta0=0.3 - 5e-13)
+        (crossing,) = find_avoidable_crossings(layout, cfg.delta0)
+        assert crossing.ratio_a - 1e-12 <= cfg.delta0 < crossing.ratio_a
+        schedule = compute_schedule(layout, cfg)
+        ab, cd = schedule.edges
+        assert validate_schedule(layout, cfg, schedule) == dense_validate_schedule(
+            layout, cfg, schedule
+        )
+        apart = replace(
+            schedule,
+            edges=(
+                ScheduledEdge(ab.animation, (0.0,)),
+                ScheduledEdge(cd.animation, (ab.animation.total + 1000.0,)),
+            ),
+            makespan=2.0 * ab.animation.total + 1000.0 + cd.animation.total,
+        )
+        report = validate_schedule(layout, cfg, apart)
+        assert report == dense_validate_schedule(layout, cfg, apart)
+        (violation,) = report.violations
+        assert violation.time_ms > ab.animation.total
 
 
 class TestStats:

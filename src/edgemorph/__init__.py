@@ -75,6 +75,7 @@ from .scheduling import (
     parse_schedule,
     sample_ratio_series,
     schedule_from_dict,
+    schedule_mismatches,
     schedule_stats,
     schedule_to_dict,
     schedule_to_json,

@@ -24,6 +24,7 @@ from .render import export_animation, frame_to_svg, sample_frame
 from .scheduling import (
     compute_schedule,
     parse_schedule,
+    schedule_mismatches,
     schedule_stats,
     schedule_to_json,
     validate_schedule,
@@ -125,6 +126,12 @@ def _cmd_schedule(args) -> int:
 def _cmd_check(args) -> int:
     layout = _layout(args.layout)
     schedule = parse_schedule(_read(args.schedule))
+    mismatches = schedule_mismatches(layout, schedule)
+    if mismatches:
+        for line in mismatches:
+            print(line)
+        print(f"failed {len(mismatches)} mismatches with the layout, schedule not sampled")
+        return 1
     report = validate_schedule(layout, schedule.config, schedule)
     if report.passed:
         print(f"passed {report.sample_count} samples at {report.step_ms} ms")
@@ -132,8 +139,8 @@ def _cmd_check(args) -> int:
     for v in report.violations:
         edges = " ".join(f"{a},{b}" for a, b in v.edges)
         print(f"{v.kind} {v.time_ms:.3f} {edges} {v.detail}")
-    total = sum(report.violation_counts.values())
-    kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(report.violation_counts.items()))
+    total = sum(n for _, n in report.violation_counts)
+    kinds = ", ".join(f"{n} {kind}" for kind, n in report.violation_counts)
     unlisted = total - len(report.violations)
     print(f"failed {total} violations ({kinds}), {unlisted} not listed")
     return 1

@@ -119,21 +119,16 @@ def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.nda
     a, b, c = coeffs
     t = np.asarray(targets, dtype=float)
     p = np.clip(t, 0.0, 1.0)
-    for _ in range(_NEWTON_ITERATIONS):
-        residual = ((a * p + b) * p + c) * p - t
-        deriv = (3.0 * a * p + 2.0 * b) * p + c
-        safe = np.abs(deriv) > 1e-12
-        if safe.all():
-            # Every caller keeps targets in [0, 1], so the residual is finite
-            # and so is every step: masking would change nothing.
-            step, moved = residual / deriv, True
-        else:
-            step = np.where(safe, residual / np.where(safe, deriv, 1.0), np.inf)
-            moved = np.isfinite(step)
-            step = np.where(moved, step, 0.0)
-        p, prev = np.clip(p - step, 0.0, 1.0), p
+    with np.errstate(all="ignore"):  # steps of unsafe slopes are discarded
+        for _ in range(_NEWTON_ITERATIONS):
+            residual = ((a * p + b) * p + c) * p - t
+            deriv = (3.0 * a * p + 2.0 * b) * p + c
+            safe = np.abs(deriv) > 1e-12
+            step = residual / deriv
+            np.copyto(step, 0.0, where=~safe)  # a flat or NaN slope does not move
+            p, prev = np.clip(p - step, 0.0, 1.0), p
     # Acceptance looks at the final step only; a masked element never settles.
-    last_step = np.where(moved, np.abs(p - prev), np.inf)
+    last_step = np.where(safe, np.abs(p - prev), np.inf)
     residual = ((a * p + b) * p + c) * p - t
     unsettled = (np.abs(residual) > _NEWTON_TOL) | (last_step > _NEWTON_TOL)
     if np.any(unsettled):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 
 import numpy as np
@@ -267,13 +267,17 @@ class ScheduleViolation:
 
 @dataclass(frozen=True)
 class ScheduleReport:
-    """Validator verdict: at most 100 violations are listed, all are counted."""
+    """Validator verdict: at most 100 violations are listed, all are counted.
+
+    ``violation_counts`` holds one (kind, total) pair per kind that occurred,
+    sorted by kind.
+    """
 
     passed: bool
     sample_count: int
     step_ms: float
     violations: tuple[ScheduleViolation, ...]
-    violation_counts: dict[str, int] = field(hash=False)
+    violation_counts: tuple[tuple[str, int], ...] = ()
 
 
 def validate_schedule(
@@ -439,8 +443,42 @@ def validate_schedule(
         sample_count=count,
         step_ms=step_ms,
         violations=tuple(violations),
-        violation_counts=counts,
+        violation_counts=tuple(sorted(counts.items())),
     )
+
+
+def schedule_mismatches(layout: GraphLayout, schedule: Schedule) -> list[str]:
+    """Ways in which a schedule was not made for a layout, one line each.
+
+    Every layout edge must be scheduled exactly once, every scheduled edge
+    must be a layout edge, and each stored morph duration must equal the one
+    :func:`edge_animation` gives under the schedule's own configuration.
+    :func:`validate_schedule` does not look at any of this: it treats an
+    unscheduled edge as never animating and trusts the stored durations.
+    """
+    layout_keys = {edge.key for edge in layout.edges}
+    out = []
+    seen: set[tuple[str, str]] = set()
+    for se in schedule.edges:
+        key = se.animation.edge.key
+        name = f"{key[0]},{key[1]}"
+        if key in seen:
+            out.append(f"duplicate-edge {name} is scheduled more than once")
+            continue
+        seen.add(key)
+        if key not in layout_keys:
+            out.append(f"unknown-edge {name} is not an edge of the layout")
+            continue
+        tau = edge_animation(se.animation.edge, layout, schedule.config).tau
+        if abs(se.animation.tau - tau) > _EPS_MS:
+            out.append(
+                f"morph-duration {name} tau {se.animation.tau} ms, "
+                f"the layout gives {tau} ms"
+            )
+    for edge in layout.edges:
+        if edge.key not in seen:
+            out.append(f"missing-edge {edge.source},{edge.target} has no schedule entry")
+    return out
 
 
 @dataclass(frozen=True)

@@ -205,12 +205,48 @@ class TestCheck:
         path.write_text(json.dumps(doc), encoding="utf-8")
         schedule = parse_schedule(path.read_bytes())
         report = validate_schedule(layout, schedule.config, schedule)
-        total = sum(report.violation_counts.values())
+        total = sum(n for _, n in report.violation_counts)
         assert total > 100
         assert main(["check", str(layout_path), str(path)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 101
         assert lines[-1].endswith(f", {total - 100} not listed")
+
+    def test_another_layouts_schedule_is_refused(self, schedule_file, capsys):
+        # The schedule of the two-segment cross names edges a-b and c-d, which
+        # the 40-node sample does not have, and none of the sample's edges.
+        layout_path = DATA_DIR / "sample_dense_40.json"
+        assert main(["check", str(layout_path), str(schedule_file)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        layout = parse_layout(layout_path.read_bytes())
+        assert lines[:2] == [
+            "unknown-edge a,b is not an edge of the layout",
+            "unknown-edge c,d is not an edge of the layout",
+        ]
+        assert sum(line.startswith("missing-edge ") for line in lines) == len(layout.edges)
+        assert lines[-1] == (
+            f"failed {len(layout.edges) + 2} mismatches with the layout, "
+            "schedule not sampled"
+        )
+
+    def test_mismatched_edges_and_durations_are_listed(
+        self, layout_file, schedule_file, tmp_path, capsys
+    ):
+        doc = json.loads(schedule_file.read_text(encoding="utf-8"))
+        first, second = doc["edges"]
+        first["tau_ms"] += 0.5
+        doc["edges"] = [first, first]
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(layout_file), str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        name = f"{first['source']},{first['target']}"
+        assert lines[0].startswith(f"morph-duration {name} tau {first['tau_ms']} ms")
+        assert lines[1:] == [
+            f"duplicate-edge {name} is scheduled more than once",
+            f"missing-edge {second['source']},{second['target']} has no schedule entry",
+            "failed 3 mismatches with the layout, schedule not sampled",
+        ]
 
     @pytest.mark.parametrize("content", ["{not json", None])
     def test_domain_errors_exit_one(

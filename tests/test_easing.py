@@ -167,6 +167,9 @@ EASE_OUT = EasingSpec(CUBIC_KIND, 0.0, 0.0, 0.58, 1.0)
 def test_newton_trim_is_bit_identical(spec):
     rng = np.random.default_rng(20)
     targets = np.concatenate(([0.0, 1.0], rng.random(100_000)))
+    # Out-of-range and NaN targets are refused by the public callers but
+    # still reach the solver through NaN time fractions; they must not drift.
+    stray = np.array([np.nan, np.inf, -np.inf, 2.0, -1.0, 1e300])
     ev = EasingEval(spec)
     for coeffs in (ev._xc, ev._yc):
         assert np.array_equal(
@@ -175,6 +178,11 @@ def test_newton_trim_is_bit_identical(spec):
         assert np.array_equal(
             _solve_monotone_cubic(coeffs, targets[2:]),
             masked_newton_solve(coeffs, targets[2:]),
+        )
+        assert np.array_equal(
+            _solve_monotone_cubic(coeffs, stray),
+            masked_newton_solve(coeffs, stray),
+            equal_nan=True,
         )
 
 

@@ -25,6 +25,7 @@ from edgemorph import (
     forbidden_start_window,
     parse_layout,
     parse_schedule,
+    schedule_mismatches,
     schedule_stats,
     schedule_to_dict,
     schedule_to_json,
@@ -453,7 +454,7 @@ def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
         sample_count=count,
         step_ms=step_ms,
         violations=tuple(violations),
-        violation_counts=counts,
+        violation_counts=tuple(sorted(counts.items())),
     )
 
 
@@ -531,7 +532,7 @@ class TestDenseOracle:
                     assert report.passed, name
                 elif name != "shifted":
                     assert not report.passed, name
-                seen.update(report.violation_counts)
+                seen.update(dict(report.violation_counts))
         assert seen == {"crossing-separation", "start-separation", "initial-frame"}
 
     def test_listing_is_capped_and_counts_are_not(self):
@@ -542,7 +543,7 @@ class TestDenseOracle:
         report = validate_schedule(layout, SLOWLIN, at_zero)
         assert report == dense_validate_schedule(layout, SLOWLIN, at_zero)
         assert len(report.violations) == 100
-        assert report.violation_counts["crossing-separation"] > 100
+        assert dict(report.violation_counts)["crossing-separation"] > 100
 
     @pytest.mark.parametrize("offset_px", [1e-7, 0.15, 4.85])
     def test_clash_on_the_ends_of_the_widened_span(self, offset_px):
@@ -618,6 +619,16 @@ class TestDenseOracle:
         assert report == dense_validate_schedule(layout, cfg, apart)
         (violation,) = report.violations
         assert violation.time_ms > ab.animation.total
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_schedules_match_their_layout_after_a_round_trip(preset):
+    layout = synth_layout(53, n_nodes=12, density=2.5, spacing=200, bias=1.5)
+    schedule = compute_schedule(layout, PRESETS[preset])
+    assert schedule_mismatches(layout, schedule) == []
+    assert schedule_mismatches(layout, parse_schedule(schedule_to_json(schedule))) == []
+    other = synth_layout(54, n_nodes=12, density=2.5, spacing=200, bias=1.5)
+    assert schedule_mismatches(other, schedule)
 
 
 class TestStats:

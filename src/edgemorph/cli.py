@@ -123,14 +123,20 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    layout = _layout(args.layout)
-    schedule = parse_schedule(_read(args.schedule))
+def _refuse_mismatched(layout, schedule) -> bool:
+    """Print why a schedule does not belong to the layout; True if it does not."""
     mismatches = schedule_mismatches(layout, schedule)
     if mismatches:
         for line in mismatches:
             print(line)
         print(f"failed {len(mismatches)} mismatches with the layout, schedule not sampled")
+    return bool(mismatches)
+
+
+def _cmd_check(args) -> int:
+    layout = _layout(args.layout)
+    schedule = parse_schedule(_read(args.schedule))
+    if _refuse_mismatched(layout, schedule):
         return 1
     report = validate_schedule(layout, schedule.config, schedule)
     if report.passed:
@@ -151,6 +157,8 @@ def _cmd_render(args) -> int:
         raise UsageError(f"--frame-at must be a finite time, got {args.frame_at}")
     layout = _layout(args.layout)
     schedule = parse_schedule(_read(args.schedule))
+    if _refuse_mismatched(layout, schedule):
+        return 1
     cfg = schedule.config
     out_dir = Path(args.out)
     if args.frame_at is not None:

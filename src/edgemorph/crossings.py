@@ -8,6 +8,12 @@ permanently and are excluded.
 
 Edges sharing an endpoint never produce crossings; in general position their
 only intersection is the shared node, where stubs legitimately meet.
+
+:func:`segment_intersection` is the scalar reference for one pair. The scan
+runs the same arithmetic, in the same operation order, over every touching
+pair at once as numpy arrays, so its points and ratios equal the scalar
+ones bit for bit; only pairs under the parallel bound go through the scalar
+collinearity test that layout validation uses.
 """
 
 from __future__ import annotations
@@ -15,8 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegeneracyError, RangeError
-from .graph import EdgeSpec, GraphLayout, Point, _collinear_overlap, _touching_pairs
+from .graph import (
+    EdgeSpec,
+    GraphLayout,
+    Point,
+    _collinear_overlap,
+    _edge_segments,
+    _touching_pairs,
+)
 
 # Crossings closer than this, in parameter distance, to a segment endpoint are
 # treated as non-crossing; inputs are expected in general position.
@@ -79,25 +94,51 @@ def find_avoidable_crossings(
     Scans the edge pairs whose bounding boxes touch (the segment-pair pass
     that layout validation uses too; adjacent pairs skipped) and keeps proper
     crossings whose nearer-endpoint distance exceeds delta0 on both edges.
+    The pairs are tested as arrays in :func:`segment_intersection`'s
+    operation order, so every point and ratio is the one it returns; only
+    near-parallel pairs go through the scalar collinearity test.
     """
     if not 0.0 < delta0 < 0.5:
         raise RangeError(f"delta0 {delta0} outside (0, 1/2)")
     edges = layout.edges
-    segments = [layout.endpoints(edge) for edge in edges]
-    found: list[AvoidableCrossing] = []
-    for i, j in _touching_pairs(segments):
-        e1, e2 = edges[i], edges[j]
-        if e1.source in (e2.source, e2.target) or e1.target in (e2.source, e2.target):
-            continue
-        hit = segment_intersection(segments[i], segments[j])
-        if hit is None:
-            continue
-        point, t, u = hit
-        if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
-            continue
-        if e1.key <= e2.key:
-            found.append(AvoidableCrossing(e1, e2, point, t, u))
-        else:
-            found.append(AvoidableCrossing(e2, e1, point, u, t))
-    found.sort(key=lambda c: (c.edge_a.key, c.edge_b.key))
-    return tuple(found)
+    segments, pts, lengths = _edge_segments(layout)
+    node_index = {node.id: k for k, node in enumerate(layout.nodes)}
+    ends = np.array(
+        [(node_index[e.source], node_index[e.target]) for e in edges], dtype=np.intp
+    ).reshape(-1, 2)
+    i, j = _touching_pairs(pts)
+    (si, ti), (sj, tj) = ends[i].T, ends[j].T
+    apart = (si != sj) & (si != tj) & (ti != sj) & (ti != tj)
+    i, j = i[apart], j[apart]
+
+    with np.errstate(all="ignore"):  # float overflow gives inf or NaN, as in Python
+        rx, ry = (pts[:, 1] - pts[:, 0]).T
+        sx, sy = rx[j], ry[j]
+        rx, ry = rx[i], ry[i]
+        denom = rx * sy - ry * sx
+        parallel = np.abs(denom) <= 1e-14 * lengths[i] * lengths[j]
+        for p, q in zip(i[parallel].tolist(), j[parallel].tolist()):
+            if _collinear_overlap(*segments[p], *segments[q]):
+                raise DegeneracyError("collinear segments overlap")
+        qx, qy = (pts[j, 0] - pts[i, 0]).T
+        t = (qx * sy - qy * sx) / denom
+        u = (qx * ry - qy * rx) / denom
+        hit = ~parallel & (PARAM_EPS <= t) & (t <= 1.0 - PARAM_EPS)
+        hit &= (PARAM_EPS <= u) & (u <= 1.0 - PARAM_EPS)
+        hit &= (np.minimum(t, 1.0 - t) > delta0) & (np.minimum(u, 1.0 - u) > delta0)
+        i, j, t, u = i[hit], j[hit], t[hit], u[hit]
+        px = pts[i, 0, 0] + t * rx[hit]
+        py = pts[i, 0, 1] + t * ry[hit]
+
+    # Edge a of a crossing is the one with the smaller key.
+    rank = np.empty(len(edges), dtype=np.intp)
+    rank[sorted(range(len(edges)), key=lambda k: edges[k].key)] = np.arange(len(edges))
+    swap = rank[i] > rank[j]
+    a, b = np.where(swap, j, i), np.where(swap, i, j)
+    ratio_a, ratio_b = np.where(swap, u, t), np.where(swap, t, u)
+    order = np.lexsort((rank[b], rank[a]))
+    columns = (a, b, px, py, ratio_a, ratio_b)
+    return tuple(
+        AvoidableCrossing(edges[p], edges[q], (x, y), ta, tb)
+        for p, q, x, y, ta, tb in zip(*(column[order].tolist() for column in columns))
+    )

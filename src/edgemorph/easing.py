@@ -160,7 +160,7 @@ def evaluate_many(spec: EasingSpec, time_fracs) -> np.ndarray:
     Interior values are clamped to [0, 1]; 0 and 1 map to exactly 0 and 1.
     """
     t = np.asarray(time_fracs, dtype=float)
-    if np.any((t < 0.0) | (t > 1.0)):
+    if np.any(~((t >= 0.0) & (t <= 1.0))):
         raise RangeError("time fraction outside [0, 1]")
     if spec.is_linear:
         return t.copy()
@@ -183,7 +183,7 @@ def invert_many(spec: EasingSpec, progresses) -> np.ndarray:
     guarantee that before any inversion happens.
     """
     g = np.asarray(progresses, dtype=float)
-    if np.any((g < 0.0) | (g > 1.0)):
+    if np.any(~((g >= 0.0) & (g <= 1.0))):
         raise RangeError("progress outside [0, 1]")
     if spec.is_linear:
         return g.copy()

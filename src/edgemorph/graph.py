@@ -12,8 +12,11 @@ Construction checks the cheap structural invariants; :func:`parse_layout` and
 :func:`validate_layout` additionally reject pairs of collinear edges that
 overlap in more than one point, whose crossing would be a whole segment.
 That check and the crossing scan share one segment-pair pass: a numpy sweep
-over bounding boxes yields the edge pairs whose boxes touch, and only those
-reach the per-pair geometry.
+over bounding boxes yields the edge pairs whose boxes touch, as two index
+arrays, and only those reach the per-pair geometry. Validation runs the
+parallel gate of the collinearity test over all of them as arrays; the few
+near-parallel pairs it leaves open go through the scalar test, which stays
+the bit-level reference, in ascending pair order.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -245,16 +248,18 @@ def _collinear_overlap(
 _BOX_MARGIN = 1e-8
 
 
-def _touching_pairs(segments: Sequence[tuple[Point, Point]]) -> list[tuple[int, int]]:
-    """Index pairs i < j, in ascending order, whose widened closed boxes touch.
+def _touching_pairs(segments) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j of segments whose widened closed boxes touch, as arrays (i, j).
 
-    A sweep in x-min order pairs each box with the later ones that start by
-    its x-max and keeps those whose y-ranges meet too, so memory grows with
-    the x-overlapping pairs, not with all pairs.
+    The pairs come in ascending (i, j) order. A sweep in x-min order pairs
+    each box with the later ones that start by its x-max and keeps those
+    whose y-ranges meet too, so memory grows with the x-overlapping pairs,
+    not with all pairs.
     """
     pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
-    margin = _BOX_MARGIN * np.hypot(*(pts[:, 1] - pts[:, 0]).T)[:, None]
-    lo, hi = pts.min(axis=1) - margin, pts.max(axis=1) + margin
+    with np.errstate(over="ignore"):  # an infinite margin keeps every pair
+        margin = _BOX_MARGIN * np.hypot(*(pts[:, 1] - pts[:, 0]).T)[:, None]
+        lo, hi = pts.min(axis=1) - margin, pts.max(axis=1) + margin
     order = np.argsort(lo[:, 0])
     lo, hi = lo[order], hi[order]
     count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(len(lo)) - 1
@@ -262,19 +267,41 @@ def _touching_pairs(segments: Sequence[tuple[Point, Point]]) -> list[tuple[int, 
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
     keep = (lo[second, 1] <= hi[first, 1]) & (lo[first, 1] <= hi[second, 1])
     a, b = order[first[keep]], order[second[keep]]
-    i, j = np.minimum(a, b), np.maximum(a, b)
-    ranked = np.lexsort((j, i))
-    return list(zip(i[ranked].tolist(), j[ranked].tolist()))
+    # Each pair once as the key i * m + j: sorting the keys orders the pairs.
+    return np.divmod(np.sort(np.minimum(a, b) * len(pts) + np.maximum(a, b)), len(pts))
+
+
+def _edge_segments(
+    layout: GraphLayout,
+) -> tuple[list[tuple[Point, Point]], np.ndarray, np.ndarray]:
+    """Every edge's endpoints as tuples and as an (m, 2, 2) array, and its length.
+
+    Lengths come from ``math.hypot``, as in the scalar segment tests, so an
+    array gate compares the very numbers the scalar test would.
+    """
+    segments = [layout.endpoints(edge) for edge in layout.edges]
+    pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
+    lengths = np.array([math.hypot(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in segments])
+    return segments, pts, lengths
 
 
 def validate_layout(layout: GraphLayout) -> None:
     """Re-check all layout invariants, including the geometric ones."""
     GraphLayout(layout.nodes, layout.edges)  # structural invariants
-    segments = [layout.endpoints(edge) for edge in layout.edges]
-    for i, j in _touching_pairs(segments):
-        if _collinear_overlap(*segments[i], *segments[j]):
+    segments, pts, lengths = _edge_segments(layout)
+    i, j = _touching_pairs(pts)
+    # The parallel gate of _collinear_overlap over all pairs at once, in its
+    # operation order; float overflow yields inf or NaN there as it does here.
+    with np.errstate(all="ignore"):
+        rx, ry = (pts[:, 1] - pts[:, 0]).T
+        cross = rx[i] * ry[j] - ry[i] * rx[j]
+        len_i, len_j = lengths[i], lengths[j]
+        bound = np.where(len_i >= len_j, 1e-9 * len_i * len_j, 1e-9 * len_j * len_i)
+        unsettled = ~(np.abs(cross) > bound)
+    for p, q in zip(i[unsettled].tolist(), j[unsettled].tolist()):
+        if _collinear_overlap(*segments[p], *segments[q]):
             raise ValidationError(
-                f"edges {layout.edges[i].key} and {layout.edges[j].key} "
+                f"edges {layout.edges[p].key} and {layout.edges[q].key} "
                 "are collinear and overlap"
             )
 

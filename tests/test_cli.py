@@ -306,6 +306,30 @@ class TestRender:
         assert text.count("<line") == 4
         assert 'x2="100.000"' in text  # quarter stub of the 400 px edge
 
+    @pytest.mark.parametrize("extra", [[], ["--animated"], ["--frame-at", "0"]])
+    def test_another_layouts_schedule_is_refused(
+        self, schedule_file, tmp_path, capsys, extra
+    ):
+        # The two-segment cross's schedule belongs to another layout: nothing
+        # is sampled or written, and the mismatches are listed as check does.
+        layout_path = DATA_DIR / "sample_dense_40.json"
+        out_dir = tmp_path / "out"
+        args = ["--schedule", str(schedule_file), "--out", str(out_dir), *extra]
+        rc = main(["render", str(layout_path), *args])
+        assert rc == 1
+        assert not out_dir.exists()
+        lines = capsys.readouterr().out.splitlines()
+        layout = parse_layout(layout_path.read_bytes())
+        assert lines[:2] == [
+            "unknown-edge a,b is not an edge of the layout",
+            "unknown-edge c,d is not an edge of the layout",
+        ]
+        assert sum(line.startswith("missing-edge ") for line in lines) == len(layout.edges)
+        assert lines[-1] == (
+            f"failed {len(layout.edges) + 2} mismatches with the layout, "
+            "schedule not sampled"
+        )
+
     def test_schedule_roundtrip_renders_identically(
         self, layout_file, schedule_file, tmp_path
     ):

@@ -125,6 +125,19 @@ def test_round_trip_on_dense_grid(spec):
     assert np.max(np.abs(forward - grid)) <= 1e-6
 
 
+@pytest.mark.parametrize("spec", [LINEAR, EASE], ids=["linear", "ease"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_inputs_are_out_of_range(spec, bad):
+    # NaN fails every comparison, so the range check must be phrased as
+    # "not inside [0, 1]" for NaN to be refused along with the infinities.
+    for scalar in (evaluate, invert):
+        with pytest.raises(RangeError):
+            scalar(spec, bad)
+    for many in (evaluate_many, invert_many):
+        with pytest.raises(RangeError):
+            many(spec, np.array([0.0, 0.5, bad, 1.0]))
+
+
 def test_identity_bezier_matches_linear():
     grid = np.linspace(0.0, 1.0, 10_000)
     assert np.max(np.abs(evaluate_many(IDENTITY_BEZIER, grid) - grid)) <= 1e-6

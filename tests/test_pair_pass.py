@@ -1,11 +1,12 @@
 """Exact-equality oracle for the shared segment-pair pass.
 
 Layout validation and the avoidable-crossing scan both walk the edge pairs
-that ``graph._touching_pairs`` yields, and the scan's parallel branch defers
-to ``graph._collinear_overlap``. The all-pairs loops they replaced are kept
-here as test-local oracles, with the strict bounding-box filter and the
-scan's own copy of the collinearity test: verdicts, the first offending pair
-named by ``ValidationError`` and the crossing tuples must all be equal.
+that ``graph._touching_pairs`` yields, as arrays, and hand the near-parallel
+pairs to the scalar ``graph._collinear_overlap``. The all-pairs scalar loops
+they replaced are kept here as test-local oracles, with the strict
+bounding-box filter and the scan's own copy of the collinearity test:
+verdicts, the first offending pair named by ``ValidationError`` and the
+crossing tuples must all be equal.
 The oracle hands the longer segment of each pair to the old collinearity
 test first, as the shared test does: that order makes the verdict
 independent of edge order, and is the one intended difference.
@@ -13,6 +14,7 @@ independent of edge order, and is the one intended difference.
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,10 +32,16 @@ from edgemorph import (
     parse_layout,
     validate_layout,
 )
-from edgemorph.crossings import PARAM_EPS
+from edgemorph.crossings import PARAM_EPS, segment_intersection
 from edgemorph.graph import _BOX_MARGIN, _collinear_overlap, _touching_pairs
 from conftest import DATA_DIR
 from gen_layouts import synth_layout
+
+
+def as_list(pairs):
+    """The (i, j) index arrays of ``_touching_pairs`` as a list of index pairs."""
+    i, j = pairs
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def old_collinear_overlap(a, b, c, d):
@@ -226,6 +234,13 @@ class TestOracleEquality:
         assert_same_as_oracle(layout)
         assert len(find_avoidable_crossings(layout, 0.25)) == 522
 
+    def test_bench_scale_synth_layout(self):
+        # The 600-edge shape of the dense benchmark workload: about 49 000
+        # touching pairs, so every array branch sees thousands of pairs.
+        layout = synth_layout(1, n_nodes=150, density=4.0, spacing=200.0, bias=1.5)
+        assert len(layout.edges) == 600
+        assert_same_as_oracle(layout)
+
 
 class TestNearCollinearPair:
     A, B, C, D = (0.0, 0.0), (100.0, 0.0), (50.0, 1e-8), (150.0, 1e-8)
@@ -233,7 +248,7 @@ class TestNearCollinearPair:
     def test_rejected_although_strict_boxes_are_disjoint(self):
         layout = two_edge_layout(self.A, self.B, self.C, self.D)
         assert old_bbox_disjoint((self.A, self.B), (self.C, self.D))
-        assert _touching_pairs([(self.A, self.B), (self.C, self.D)]) == [(0, 1)]
+        assert as_list(_touching_pairs([(self.A, self.B), (self.C, self.D)])) == [(0, 1)]
         expected = outcome(old_validate_layout, layout)
         assert expected[0] == "ValidationError"
         assert outcome(validate_layout, layout) == expected
@@ -280,6 +295,75 @@ class TestNearCollinearPair:
                 find_avoidable_crossings(GraphLayout(nodes, edges), 0.25)
 
 
+class TestExtremeCoordinates:
+    """Huge and subnormal coordinates, where the float arithmetic overflows.
+
+    The reference here is the per-pair scalar code over the same shared
+    pass: the array gates must reach the same verdicts as ``math`` floats,
+    inf and NaN included, and must do so without numpy warnings.
+    """
+
+    @staticmethod
+    def scalar_validate(layout):
+        segments = [layout.endpoints(edge) for edge in layout.edges]
+        for i, j in as_list(_touching_pairs(segments)):
+            if _collinear_overlap(*segments[i], *segments[j]):
+                raise ValidationError(
+                    f"edges {layout.edges[i].key} and {layout.edges[j].key} "
+                    "are collinear and overlap"
+                )
+
+    @staticmethod
+    def scalar_scan(layout, delta0):
+        edges = layout.edges
+        segments = [layout.endpoints(edge) for edge in edges]
+        found = []
+        for i, j in as_list(_touching_pairs(segments)):
+            e1, e2 = edges[i], edges[j]
+            if set(e1.key) & set(e2.key):
+                continue
+            hit = segment_intersection(segments[i], segments[j])
+            if hit is None:
+                continue
+            point, t, u = hit
+            if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
+                continue
+            if e1.key <= e2.key:
+                found.append(AvoidableCrossing(e1, e2, point, t, u))
+            else:
+                found.append(AvoidableCrossing(e2, e1, point, u, t))
+        found.sort(key=lambda c: (c.edge_a.key, c.edge_b.key))
+        return tuple(found)
+
+    def test_same_as_scalar_code_without_warnings(self):
+        rng = random.Random(3)
+        seen = set()
+        for trial in range(300):
+            scale = rng.choice([1e-310, 1e-160, 1e154, 1e200, 1e307, 1.7e308])
+            ys = rng.choice([(0.0,), (-1.0, 0.0, 1.0)])
+            nodes = tuple(
+                NodeSpec(
+                    f"v{k}",
+                    rng.choice((-1.0, 1.0)) * scale * rng.random(),
+                    rng.choice(ys) * scale * rng.random(),
+                )
+                for k in range(rng.randint(4, 8))
+            )
+            pairs = [(a.id, b.id) for a in nodes for b in nodes if a.id < b.id]
+            count = rng.randint(2, min(10, len(pairs)))
+            edges = tuple(EdgeSpec(*key) for key in rng.sample(pairs, count))
+            layout = GraphLayout(nodes, edges)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                verdict = outcome(validate_layout, layout)
+                assert verdict == outcome(self.scalar_validate, layout)
+                for delta0 in (0.1, 0.25, 0.4):
+                    found = outcome(find_avoidable_crossings, layout, delta0)
+                    assert found == outcome(self.scalar_scan, layout, delta0)
+                    seen.add((verdict[0], found[0], found[0] == "ok" and bool(found[1])))
+        assert {("ok", "ok", True), ("ValidationError", "DegeneracyError", False)} <= seen
+
+
 class TestTouchingPairs:
     def test_equals_brute_force_over_widened_boxes(self):
         def widened(segment):
@@ -304,7 +388,7 @@ class TestTouchingPairs:
             ((5.0, 0.0), (6.0, 0.0)),
             ((5.5, -3e8), (5.5, 3e8)),
         ]
-        assert _touching_pairs(tricky) == brute(tricky) == [(0, 2), (1, 2)]
+        assert as_list(_touching_pairs(tricky)) == brute(tricky) == [(0, 2), (1, 2)]
         rng = random.Random(11)
         for trial in range(40):
             segments = []
@@ -313,15 +397,15 @@ class TestTouchingPairs:
                 size = 10 ** rng.uniform(-3, 9)
                 angle = rng.uniform(0, 2 * math.pi)
                 segments.append(((x, y), (x + size * math.cos(angle), y + size * math.sin(angle))))
-            assert _touching_pairs(segments) == brute(segments)
+            assert as_list(_touching_pairs(segments)) == brute(segments)
 
     def test_small_inputs(self):
-        assert _touching_pairs([]) == []
-        assert _touching_pairs([((0.0, 0.0), (1.0, 1.0))]) == []
+        assert as_list(_touching_pairs([])) == []
+        assert as_list(_touching_pairs([((0.0, 0.0), (1.0, 1.0))])) == []
         # Closed boxes: touching at one corner counts.
-        assert _touching_pairs([((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 3.0))]) == [
-            (0, 1)
-        ]
+        pairs = _touching_pairs([((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 3.0))])
+        assert as_list(pairs) == [(0, 1)]
+        assert all(index.dtype.kind == "i" for index in pairs)
 
 
 coordinate = st.floats(min_value=-1e4, max_value=1e4)
@@ -358,7 +442,7 @@ def test_near_collinear_pairs_match_oracle(ax, ay, angle, length, t0, t1, offset
     assert _collinear_overlap(a, b, c, d) == _collinear_overlap(c, d, a, b)
     for s1, s2 in (((a, b), (c, d)), ((c, d), (a, b))):
         if _collinear_overlap(*s1, *s2):
-            assert _touching_pairs([s1, s2]) == [(0, 1)]
+            assert as_list(_touching_pairs([s1, s2])) == [(0, 1)]
 
     verdict = outcome(validate_layout, layout)
     assert verdict == outcome(old_validate_layout, layout)

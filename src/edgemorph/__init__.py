@@ -15,7 +15,6 @@ from .easing import (
     LINEAR,
     EasingSpec,
     MonotoneReport,
-    bezier_xy,
     easing_to_string,
     evaluate,
     invert,
@@ -52,8 +51,6 @@ from .kinematics import (
     edge_animation,
     occupancy_interval,
     parse_config,
-    stub_ratio_at,
-    time_to_ratio,
 )
 from .render import (
     DEFAULT_STYLE,

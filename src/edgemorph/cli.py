@@ -40,37 +40,22 @@ def _layout(path: str):
     return parse_layout(_read(path))
 
 
-def _resolve_config(args, model_attr: str = "model", config_attr: str = "config") -> AnimationConfig:
-    cfg = AnimationConfig(sigma_a=100.0)
-    config_path = getattr(args, config_attr, None)
-    if config_path:
-        cfg = parse_config(_read(config_path))
-    model = getattr(args, model_attr, None)
+def _base_config(config_path: str | None, model: str | None) -> AnimationConfig:
+    """Built-in defaults, then a config file, then a preset's animation fields."""
+    cfg = parse_config(_read(config_path)) if config_path else AnimationConfig(sigma_a=100.0)
     if model:
-        preset = PRESETS[model]
-        cfg = replace(
-            cfg,
-            sigma_a=preset.sigma_a,
-            delta0=preset.delta0,
-            tau_half=preset.tau_half,
-            tau_distinct=preset.tau_distinct,
-            easing=preset.easing,
-        )
-    for flag, field in (
-        ("sigma_a", "sigma_a"),
-        ("delta0", "delta0"),
-        ("tau_half", "tau_half"),
-        ("tau_distinct", "tau_distinct"),
-        ("fps", "fps"),
-        ("horizon", "horizon"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg = replace(cfg, **{field: value})
-    easing = getattr(args, "easing", None)
-    if easing is not None:
-        cfg = replace(cfg, easing=parse_easing(easing))
+        cfg = replace(PRESETS[model], fps=cfg.fps, horizon=cfg.horizon)
     return cfg
+
+
+def _resolve_config(args) -> AnimationConfig:
+    """The base configuration with every given flag applied on top, in one step."""
+    cfg = _base_config(args.config, args.model)
+    fields = ("sigma_a", "delta0", "tau_half", "tau_distinct", "fps", "horizon")
+    overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+    if args.easing is not None:
+        overrides["easing"] = parse_easing(args.easing)
+    return replace(cfg, **overrides)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -195,15 +180,10 @@ def _cmd_trial(args) -> int:
 
 def _cmd_stats(args) -> int:
     layout = _layout(args.layout)
-
-    def resolve(config_path, model):
-        holder = argparse.Namespace(config=config_path, model=model)
-        return _resolve_config(holder)
-
     if not (args.config_a or args.model_a) or not (args.config_b or args.model_b):
         raise UsageError("stats needs a config or model for both A and B")
-    cfg_a = resolve(args.config_a, args.model_a)
-    cfg_b = resolve(args.config_b, args.model_b)
+    cfg_a = _base_config(args.config_a, args.model_a)
+    cfg_b = _base_config(args.config_b, args.model_b)
     schedule_a = compute_schedule(layout, cfg_a)
     schedule_b = compute_schedule(layout, cfg_b)
     stats = schedule_stats(schedule_a, baseline=schedule_b)

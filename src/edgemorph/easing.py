@@ -14,11 +14,10 @@ Evaluation and inversion are exact at the interval boundaries: 0 maps to 0 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, RangeError, UsageError
+from .errors import ConfigError, RangeError
 
 LINEAR_KIND = "linear"
 CUBIC_KIND = "cubic-bezier"
@@ -71,42 +70,16 @@ EASE = EasingSpec(CUBIC_KIND, 0.25, 0.1, 0.25, 1.0)
 IDENTITY_BEZIER = EasingSpec(CUBIC_KIND, 1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class EasingEval:
-    """Evaluator for one spec with precomputed polynomial coefficients."""
-
-    spec: EasingSpec
-    tolerance: float = 1e-7
-
-    def __post_init__(self) -> None:
-        # Coefficients of x(p) = ((ax p + bx) p + cx) p, and likewise for y.
-        cx = 3.0 * self.spec.x1
-        bx = 3.0 * (self.spec.x2 - self.spec.x1) - cx
-        object.__setattr__(self, "_xc", (1.0 - cx - bx, bx, cx))
-        cy = 3.0 * self.spec.y1
-        by = 3.0 * (self.spec.y2 - self.spec.y1) - cy
-        object.__setattr__(self, "_yc", (1.0 - cy - by, by, cy))
-
-    def curve_x(self, p):
-        a, b, c = self._xc
-        return ((a * p + b) * p + c) * p
-
-    def curve_y(self, p):
-        a, b, c = self._yc
-        return ((a * p + b) * p + c) * p
-
-    def solve_x(self, targets: np.ndarray) -> np.ndarray:
-        """Parameters p with x(p) = target, for targets in [0, 1]."""
-        return _solve_monotone_cubic(self._xc, targets)
-
-    def solve_y(self, targets: np.ndarray) -> np.ndarray:
-        """Parameters p with y(p) = target; requires y monotone on [0, 1]."""
-        return _solve_monotone_cubic(self._yc, targets)
+def _coefficients(c1: float, c2: float) -> tuple[float, float, float]:
+    """(a, b, c) of one axis, ((a p + b) p + c) p, from its two inner controls."""
+    c = 3.0 * c1
+    b = 3.0 * (c2 - c1) - c
+    return (1.0 - c - b, b, c)
 
 
-@lru_cache(maxsize=64)
-def _evaluator(spec: EasingSpec) -> EasingEval:
-    return EasingEval(spec)
+def _cubic(coeffs: tuple[float, float, float], p):
+    a, b, c = coeffs
+    return ((a * p + b) * p + c) * p
 
 
 def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.ndarray:
@@ -144,16 +117,6 @@ def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.nda
     return p
 
 
-def bezier_xy(spec: EasingSpec, p: float) -> tuple[float, float]:
-    """Point on the cubic curve at parameter p: (time fraction, progress)."""
-    if spec.is_linear:
-        raise UsageError("bezier_xy needs a cubic-bezier spec")
-    if not 0.0 <= p <= 1.0:
-        raise RangeError(f"curve parameter {p} outside [0, 1]")
-    ev = _evaluator(spec)
-    return float(ev.curve_x(p)), float(ev.curve_y(p))
-
-
 def evaluate_many(spec: EasingSpec, time_fracs) -> np.ndarray:
     """Vectorized progress values for time fractions in [0, 1].
 
@@ -164,8 +127,8 @@ def evaluate_many(spec: EasingSpec, time_fracs) -> np.ndarray:
         raise RangeError("time fraction outside [0, 1]")
     if spec.is_linear:
         return t.copy()
-    ev = _evaluator(spec)
-    out = np.clip(ev.curve_y(ev.solve_x(t)), 0.0, 1.0)
+    p = _solve_monotone_cubic(_coefficients(spec.x1, spec.x2), t)
+    out = np.clip(_cubic(_coefficients(spec.y1, spec.y2), p), 0.0, 1.0)
     out = np.where(t == 0.0, 0.0, out)
     out = np.where(t == 1.0, 1.0, out)
     return out
@@ -187,8 +150,8 @@ def invert_many(spec: EasingSpec, progresses) -> np.ndarray:
         raise RangeError("progress outside [0, 1]")
     if spec.is_linear:
         return g.copy()
-    ev = _evaluator(spec)
-    out = np.clip(ev.curve_x(ev.solve_y(g)), 0.0, 1.0)
+    p = _solve_monotone_cubic(_coefficients(spec.y1, spec.y2), g)
+    out = np.clip(_cubic(_coefficients(spec.x1, spec.x2), p), 0.0, 1.0)
     out = np.where(g == 0.0, 0.0, out)
     out = np.where(g == 1.0, 1.0, out)
     return out
@@ -209,7 +172,6 @@ class MonotoneReport:
     pair: tuple[float, float] | None = None
 
 
-@lru_cache(maxsize=64)
 def verify_monotone(spec: EasingSpec) -> MonotoneReport:
     """Sample the curve on a uniform 10^4-point grid and check it is usable.
 
@@ -220,8 +182,8 @@ def verify_monotone(spec: EasingSpec) -> MonotoneReport:
     if spec.is_linear:
         return MonotoneReport(passed=True)
     grid = np.linspace(0.0, 1.0, MONOTONE_GRID)
-    ev = _evaluator(spec)
-    values = ev.curve_y(ev.solve_x(grid))
+    p = _solve_monotone_cubic(_coefficients(spec.x1, spec.x2), grid)
+    values = _cubic(_coefficients(spec.y1, spec.y2), p)
     values[0] = 0.0
     values[-1] = 1.0
     out_of_range = (values < 0.0) | (values > 1.0)

@@ -181,25 +181,6 @@ def stub_ratio_matrix(
     return out
 
 
-def stub_ratio_at(anim: EdgeAnimation, cfg: AnimationConfig, t_rel: float) -> float:
-    """Stub length ratio at a time offset from the animation start.
-
-    Piecewise: resting ratio outside the animation, eased growth, full hold,
-    then the growth curve mirrored in time.
-    """
-    return float(stub_ratio_matrix(cfg, [(anim, (0.0,))], [t_rel])[0, 0])
-
-
-def time_to_ratio(anim: EdgeAnimation, cfg: AnimationConfig, ratio: float) -> float:
-    """Offset from animation start at which the growing stubs reach a ratio."""
-    if not cfg.delta0 < ratio <= 0.5:
-        raise RangeError(
-            f"ratio {ratio} outside ({cfg.delta0}, 1/2]"
-        )
-    progress = (ratio - cfg.delta0) / cfg.ratio_span
-    return anim.tau * invert(cfg.easing, progress)
-
-
 def occupancy_interval(
     anim: EdgeAnimation,
     cfg: AnimationConfig,
@@ -219,7 +200,7 @@ def occupancy_interval(
             f"point ratio {point_ratio} outside ({cfg.delta0}, {1.0 - cfg.delta0})"
         )
     nearer = min(point_ratio, 1.0 - point_ratio)
-    reach = time_to_ratio(anim, cfg, nearer)
+    reach = anim.tau * invert(cfg.easing, (nearer - cfg.delta0) / cfg.ratio_span)
     return (start_ts + reach, start_ts + anim.total - reach)
 
 

@@ -23,8 +23,9 @@ time zero, so the frame at time zero shows the resting drawing.
 stub ratio on a fixed time grid and verifies ratio bounds, crossing-point
 separation, per-edge start separation, and the resting initial frame, without
 reusing any of the interval arithmetic that placed the starts. An edge rests
-at delta0 outside its animated span, so only that span is sampled and kept:
-memory grows with the animated samples, not with edges times the grid.
+at delta0 outside its animated span, so only that span, widened on each side
+by the distinctness time, is sampled and kept: memory grows with the animated
+samples, not with edges times the grid.
 
 All starts are quantized to microseconds when placed (rounding up, which can
 only relax separations), so serialized schedules with times at 3 decimal
@@ -110,21 +111,17 @@ def conflict_constraints(
     crossings = find_avoidable_crossings(layout, cfg.delta0)
     if not crossings:
         return ()
-    progress = np.empty(2 * len(crossings))
-    for i, crossing in enumerate(crossings):
-        nearer_a = min(crossing.ratio_a, 1.0 - crossing.ratio_a)
-        nearer_b = min(crossing.ratio_b, 1.0 - crossing.ratio_b)
-        progress[2 * i] = (nearer_a - cfg.delta0) / cfg.ratio_span
-        progress[2 * i + 1] = (nearer_b - cfg.delta0) / cfg.ratio_span
-    fracs = invert_many(cfg.easing, progress)
+    ratios = np.array([(c.ratio_a, c.ratio_b) for c in crossings])
+    nearer = np.minimum(ratios, 1.0 - ratios)
+    fracs = invert_many(cfg.easing, (nearer - cfg.delta0) / cfg.ratio_span).tolist()
     return tuple(
         (
             crossing.edge_a.key,
             crossing.edge_b.key,
-            animations[crossing.edge_a.key].tau * float(fracs[2 * i]),
-            animations[crossing.edge_b.key].tau * float(fracs[2 * i + 1]),
+            animations[crossing.edge_a.key].tau * frac_a,
+            animations[crossing.edge_b.key].tau * frac_b,
         )
-        for i, crossing in enumerate(crossings)
+        for crossing, (frac_a, frac_b) in zip(crossings, fracs)
     )
 
 
@@ -299,14 +296,14 @@ def validate_schedule(
     RangeError before anything is allocated. The first 100 violations are
     listed, and all are counted by kind.
 
-    Only each edge's animated span is sampled: the grid samples after its
-    earliest start and before its latest start plus one animation. It rests
-    at delta0 everywhere else. A crossing is checked where edge A animates
-    and edge B is within tau_distinct of animating, except that one whose
-    nearer ratio lies within float noise of delta0, so that the resting ratio
-    already counts as covering, is checked on the whole grid. The report is
-    the one sampling every edge over the whole grid gives, but memory grows
-    with the animated samples, not with edges times grid samples.
+    Only each edge's animated span is sampled, widened on each side by the
+    samples within tau_distinct: the span runs from its earliest start to its
+    latest start plus one animation, and the edge rests at delta0 everywhere
+    else. A crossing is checked where both widened spans overlap, except that
+    one whose nearer ratio lies within float noise of delta0, so that the
+    resting ratio already counts as covering, is checked on the whole grid.
+    The report is the one sampling every edge over the whole grid gives, but
+    memory grows with the animated samples, not with edges times grid samples.
     """
     if not 0.0 < step_ms < math.inf:
         raise RangeError(f"validator step {step_ms} ms is not a positive finite number")
@@ -358,7 +355,9 @@ def validate_schedule(
             out[a - lo : b - lo] = values[a - first : b - first]
         return out
 
-    # key -> (grid index of the first sample, samples of the animated span)
+    lag = int(np.floor((cfg.tau_distinct - _EPS_MS) / step_ms))
+    margin = max(lag, 0)
+    # key -> (grid index of the first sample, samples of the widened span)
     series: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
     for se in schedule.edges:
         key = se.animation.edge.key
@@ -367,6 +366,7 @@ def validate_schedule(
             lo = int(np.searchsorted(times, min(se.starts), side="right"))
             last_end = max(se.starts) + se.animation.total
             hi = int(np.searchsorted(times, last_end, side="left"))
+            lo, hi = max(0, lo - margin), min(count, hi + margin)
         values = sample_ratio_series(se.animation, se.starts, cfg, times[lo:hi])
         series[key] = (lo, values)
         if lo == 0 and len(values) and abs(values[0] - cfg.delta0) > _EPS_RATIO:
@@ -376,39 +376,20 @@ def validate_schedule(
             i = int(np.argmax(bad))
             add("ratio-range", float(times[lo + i]), (key,), f"ratio {values[i]}")
 
-    lag = int(np.floor((cfg.tau_distinct - _EPS_MS) / step_ms))
     if lag >= 0:
         dilated: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
 
-        def running_max(values: np.ndarray, output=None) -> np.ndarray:
-            return maximum_filter1d(
-                values, size=2 * lag + 1, mode="constant", cval=cfg.delta0, output=output
-            )
-
         def dilate(key: tuple[str, str]) -> tuple[int, np.ndarray]:
-            """Maximum of the series over +-lag samples, on its span widened by lag.
+            """Maximum of the series over +-lag samples, on its widened span.
 
-            Beyond that it is delta0. With cval=delta0 the filter of the span
-            alone equals the dilation of the whole grid on the span. Each
-            margin is filtered from the at most 2 * lag samples at its end,
-            so no padded copy of the span is made.
+            The span holds every sample within lag of an animated one and the
+            series is delta0 beyond it, so with cval=delta0 the filter of the
+            span equals the dilation of the whole grid there.
             """
             if key not in dilated:
                 first, values = series[key]
-                end = first + len(values)
-                lo, hi = max(0, first - lag), min(count, end + lag)
-                out = np.empty(hi - lo)
-                if not len(values):
-                    out.fill(cfg.delta0)
-                else:
-                    running_max(values, output=out[first - lo : end - lo])
-                    if lo < first:
-                        left = on_grid(first, values, lo, first + lag)
-                        out[: first - lo] = running_max(left)[: first - lo]
-                    if end < hi:
-                        right = on_grid(first, values, end - lag, hi)
-                        out[end - lo :] = running_max(right)[lag:]
-                dilated[key] = (lo, out)
+                peak = maximum_filter1d(values, 2 * lag + 1, mode="constant", cval=cfg.delta0)
+                dilated[key] = (first, peak)
             return dilated[key]
 
         for crossing in find_avoidable_crossings(layout, cfg.delta0):
@@ -556,18 +537,27 @@ def schedule_from_dict(doc: dict) -> Schedule:
 
     Totals and the makespan are recomputed from the stored morph durations
     and the embedded configuration, so a written schedule reads back equal to
-    the in-memory original.
+    the in-memory original. The config must be a JSON object, and the edges
+    and each edge's starts JSON arrays.
     """
     try:
-        cfg = config_from_dict(doc["config"])
-        entries = doc["edges"]
+        config_doc, entries = doc["config"], doc["edges"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"schedule document is missing {exc}") from exc
+    if not isinstance(config_doc, dict):
+        raise ParseError("schedule config must be a JSON object")
+    if not isinstance(entries, list):
+        raise ParseError("schedule edges must be a JSON array")
+    cfg = config_from_dict(config_doc)
     edges = []
     for entry in entries:
         try:
             edge = EdgeSpec(str(entry["source"]), str(entry["target"]))
             tau = float(entry["tau_ms"])
+            if not isinstance(entry["starts_ms"], list):
+                raise ParseError(
+                    f"starts of schedule edge {edge.source}-{edge.target} are not a JSON array"
+                )
             starts = tuple(float(ts) for ts in entry["starts_ms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad schedule edge entry: {exc}") from exc

@@ -265,6 +265,36 @@ class TestCheck:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(edges=5),
+        lambda doc: doc.update(edges=None),
+        lambda doc: doc["edges"][0].update(starts_ms="12"),
+        lambda doc: doc.update(config=[]),
+    ],
+    ids=["edges-number", "edges-null", "starts-string", "config-list"],
+)
+def test_wrongly_typed_schedule_is_domain_error(
+    layout_file, schedule_file, tmp_path, capsys, edit
+):
+    doc = json.loads(schedule_file.read_text(encoding="utf-8"))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    for argv in (
+        ["check", str(layout_file), str(bad)],
+        ["render", str(layout_file), "--schedule", str(bad), "--out", str(out_dir)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "JSON" in captured.err
+        assert captured.out == ""
+    assert not out_dir.exists()
+
+
 class TestRender:
     def test_frames_directory(self, layout_file, schedule_file, tmp_path, capsys):
         out_dir = tmp_path / "frames"

@@ -20,11 +20,9 @@ from edgemorph import (
     edge_animation,
     occupancy_interval,
     parse_config,
-    stub_ratio_at,
-    time_to_ratio,
 )
 from edgemorph.easing import CUBIC_KIND
-from edgemorph.kinematics import config_from_dict, quantize_ms
+from edgemorph.kinematics import config_from_dict, quantize_ms, stub_ratio_matrix
 from edgemorph.scheduling import sample_ratio_series
 
 SLOWLIN = PRESETS["slowlin"]
@@ -40,6 +38,16 @@ def line_layout(length):
 
 def anim_for(length, cfg):
     return edge_animation(("a", "b"), line_layout(length), cfg)
+
+
+def stub_ratio_at(anim, cfg, t_rel):
+    """Stub ratio at a time offset from the start of a single animation."""
+    return float(stub_ratio_matrix(cfg, [(anim, (0.0,))], [t_rel])[0, 0])
+
+
+def time_to_ratio(anim, cfg, ratio):
+    """Offset from the start at which the growing stubs reach a ratio."""
+    return occupancy_interval(anim, cfg, ratio, 0.0)[0]
 
 
 class TestDurations:
@@ -144,7 +152,7 @@ class TestTimeToRatio:
         with pytest.raises(RangeError):
             time_to_ratio(anim, SLOWLIN, 0.25)
         with pytest.raises(RangeError):
-            time_to_ratio(anim, SLOWLIN, 0.51)
+            time_to_ratio(anim, SLOWLIN, 0.75)
 
 
 class TestOccupancyInterval:

@@ -306,6 +306,20 @@ def validate_layout(layout: GraphLayout) -> None:
             )
 
 
+def json_number(value) -> float:
+    """A JSON number as a float; TypeError or ValueError for anything else.
+
+    Strings and booleans are refused, although ``float()`` would take them,
+    and so is an integer too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("integer does not fit a float") from exc
+
+
 def parse_layout(raw: bytes | str) -> GraphLayout:
     """Parse and fully validate a layout interchange document.
 
@@ -320,7 +334,7 @@ def parse_layout(raw: bytes | str) -> GraphLayout:
             raise ParseError(f"layout is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number with too many digits for int()
         raise ParseError(f"layout is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("layout document must be a JSON object")
@@ -339,12 +353,14 @@ def parse_layout(raw: bytes | str) -> GraphLayout:
             raise ParseError(f"node #{i} is missing field {exc}") from exc
         if not isinstance(node_id, str):
             raise ParseError(f"node #{i} id must be a string")
-        if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
-            raise ParseError(f"node {node_id!r} coordinates must be numbers")
+        try:
+            x, y = json_number(x), json_number(y)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"node {node_id!r} coordinates must be numbers: {exc}") from exc
         color = entry.get("color", "plain")
         if color not in COLOR_ROLES:
             raise ParseError(f"node {node_id!r} has unknown color {color!r}")
-        nodes.append(NodeSpec(node_id, float(x), float(y), color))
+        nodes.append(NodeSpec(node_id, x, y, color))
 
     edges = []
     for i, entry in enumerate(doc["edges"]):

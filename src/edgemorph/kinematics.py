@@ -30,7 +30,7 @@ from .easing import (
     verify_monotone,
 )
 from .errors import ConfigError, ParseError, RangeError
-from .graph import EdgeSpec, GraphLayout, edge_length
+from .graph import EdgeSpec, GraphLayout, edge_length, json_number
 
 
 def quantize_ms(value: float) -> float:
@@ -229,6 +229,7 @@ _CONFIG_KEYS = {
 
 
 def config_from_dict(doc: dict) -> AnimationConfig:
+    """Configuration from its JSON form; every value but the easing is a JSON number."""
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -239,13 +240,15 @@ def config_from_dict(doc: dict) -> AnimationConfig:
         raise ConfigError("easing must be a string")
     try:
         return AnimationConfig(
-            sigma_a=float(doc.get("sigma_a_px_s", 100.0)),
-            delta0=float(doc.get("delta0", 0.25)),
-            tau_half=float(doc.get("tau_half_ms", 100.0)),
-            tau_distinct=float(doc.get("tau_distinct_ms", 50.0)),
+            sigma_a=json_number(doc.get("sigma_a_px_s", 100.0)),
+            delta0=json_number(doc.get("delta0", 0.25)),
+            tau_half=json_number(doc.get("tau_half_ms", 100.0)),
+            tau_distinct=json_number(doc.get("tau_distinct_ms", 50.0)),
             easing=easing_spec,
-            fps=float(doc.get("fps", 30.0)),
-            horizon=None if doc.get("horizon_ms") is None else float(doc["horizon_ms"]),
+            fps=json_number(doc.get("fps", 30.0)),
+            horizon=(
+                None if doc.get("horizon_ms") is None else json_number(doc["horizon_ms"])
+            ),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -254,10 +257,13 @@ def config_from_dict(doc: dict) -> AnimationConfig:
 def parse_config(raw: bytes | str) -> AnimationConfig:
     """Parse a configuration document; absent keys fall back to the defaults."""
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number with too many digits for int()
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config document must be a JSON object")

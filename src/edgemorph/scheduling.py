@@ -25,7 +25,11 @@ separation, per-edge start separation, and the resting initial frame, without
 reusing any of the interval arithmetic that placed the starts. An edge rests
 at delta0 outside its animated span, so only that span, widened on each side
 by the distinctness time, is sampled and kept: memory grows with the animated
-samples, not with edges times the grid.
+samples, not with edges times the grid. Each edge's span is sampled in one
+array pass over all of its starts, and the eased samples of consecutive
+edges are solved together, one easing call per block of about
+:data:`EASING_BLOCK` fractions, so the easing cost is arithmetic, not call
+overhead, and the fractions held at once stay bounded.
 
 All starts are quantized to microseconds when placed (rounding up, which can
 only relax separations), so serialized schedules with times at 3 decimal
@@ -37,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
 
@@ -46,7 +51,7 @@ from scipy.ndimage import maximum_filter1d
 from .crossings import find_avoidable_crossings
 from .easing import evaluate_many, invert_many
 from .errors import ConfigError, ParseError, RangeError, UsageError
-from .graph import EdgeSpec, GraphLayout
+from .graph import EdgeSpec, GraphLayout, json_number
 from .kinematics import (
     AnimationConfig,
     EdgeAnimation,
@@ -60,6 +65,11 @@ _EPS_MS = 1e-6      # forgiveness for float noise in time comparisons
 _EPS_RATIO = 1e-12  # forgiveness for float noise in ratio comparisons
 #: Most samples one validator grid may hold: about 16.7 minutes at 1 ms steps.
 MAX_SAMPLES = 1_000_000
+#: Eased fractions the validator collects across edges before one easing
+#: solve: large enough that per-call overhead no longer dominates, small
+#: enough that the solver's temporaries stay in cache and a batch never
+#: holds the whole schedule.
+EASING_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -224,6 +234,41 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     return Schedule(config=cfg, edges=scheduled, makespan=makespan)
 
 
+def _edge_samples(
+    anim: EdgeAnimation,
+    starts: tuple[float, ...],
+    cfg: AnimationConfig,
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One edge's ratios on an ascending grid, with the eased ones left to solve.
+
+    Returns (values, where, fractions). values is delta0 at rest and 1/2
+    while fully drawn; values[where] still has to be set to
+    delta0 + ratio_span * evaluate_many(easing, fractions). Every start is
+    handled in one array pass: it animates the grid times after it and
+    before its end, and where two spans overlap the start listed later wins.
+    """
+    values = np.full(t.shape, cfg.delta0)
+    s = np.asarray(starts, dtype=float)
+    lo = t.searchsorted(s, side="right")
+    hi = t.searchsorted(s + anim.total, side="left")
+    lengths = np.maximum(hi - lo, 0)
+    idx = np.arange(lengths.sum()) + (lo - lengths.cumsum() + lengths).repeat(lengths)
+    ts = s.repeat(lengths)
+    if (idx[1:] <= idx[:-1]).any():
+        # Overlapping spans: keep each sample's last writer in start order.
+        order = np.argsort(idx, kind="stable")
+        idx, ts = idx[order], ts[order]
+        last = np.append(idx[1:] != idx[:-1], True)
+        idx, ts = idx[last], ts[last]
+    rel = t[idx] - ts
+    growing = rel < anim.tau
+    eased = growing | (rel > anim.tau + cfg.tau_half)
+    values[idx] = 0.5
+    fractions = np.where(growing, rel, anim.total - rel)[eased] / anim.tau
+    return values, idx[eased], fractions
+
+
 def sample_ratio_series(
     anim: EdgeAnimation,
     starts: tuple[float, ...],
@@ -231,32 +276,17 @@ def sample_ratio_series(
     times: np.ndarray,
 ) -> np.ndarray:
     """Stub ratio of one edge at every time of an ascending sample grid."""
-    t = np.asarray(times, dtype=float)
-    out = np.full(t.shape, cfg.delta0)
-    for ts in starts:
-        lo = int(np.searchsorted(t, ts, side="right"))
-        hi = int(np.searchsorted(t, ts + anim.total, side="left"))
-        if lo >= hi:
-            continue
-        rel = t[lo:hi] - ts
-        seg = np.full(rel.shape, 0.5)
-        growing = rel < anim.tau
-        retracting = rel > anim.tau + cfg.tau_half
-        if np.any(growing):
-            seg[growing] = cfg.delta0 + cfg.ratio_span * evaluate_many(
-                cfg.easing, rel[growing] / anim.tau
-            )
-        if np.any(retracting):
-            seg[retracting] = cfg.delta0 + cfg.ratio_span * evaluate_many(
-                cfg.easing, (anim.total - rel[retracting]) / anim.tau
-            )
-        out[lo:hi] = seg
-    return out
+    values, where, fractions = _edge_samples(
+        anim, starts, cfg, np.asarray(times, dtype=float)
+    )
+    values[where] = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
+    return values
 
 
 @dataclass(frozen=True)
 class ScheduleViolation:
-    kind: str  # ratio-range | crossing-separation | start-separation | initial-frame
+    # duplicate-edge | ratio-range | crossing-separation | start-separation | initial-frame
+    kind: str
     time_ms: float | None
     edges: tuple[tuple[str, str], ...]
     detail: str
@@ -290,8 +320,10 @@ def validate_schedule(
     crossing the two edges never cover the point within tau_distinct of each
     other (a gap of exactly tau_distinct is fine); (c) per-edge starts are
     non-negative, sorted, and separated by a full animation plus tau_distinct;
-    (d) everything rests at delta0 at time zero. Edges absent from the
-    schedule are treated as never animating. A step_ms that is not a positive
+    (d) everything rests at delta0 at time zero; (e) no edge is scheduled
+    more than once. Checks (a), (c) and (d) run on every entry of a duplicated
+    edge, and (b) on its last entry. Edges absent from the schedule are
+    treated as never animating. A step_ms that is not a positive
     finite number, or a grid of more than :data:`MAX_SAMPLES` samples, raises
     RangeError before anything is allocated. The first 100 violations are
     listed, and all are counted by kind.
@@ -304,6 +336,14 @@ def validate_schedule(
     resting ratio already counts as covering, is checked on the whole grid.
     The report is the one sampling every edge over the whole grid gives, but
     memory grows with the animated samples, not with edges times grid samples.
+
+    Each entry's span goes through the array pass behind
+    :func:`sample_ratio_series`, but its eased fractions are held back: once
+    about :data:`EASING_BLOCK` of them wait, across entries, one easing call
+    solves them all and the held entries are checked in schedule order. The
+    easing is elementwise, so the ratios are bit for bit the per-edge ones,
+    and the held fractions add at most one block plus one entry's worth to
+    the memory of the spans.
     """
     if not 0.0 < step_ms < math.inf:
         raise RangeError(f"validator step {step_ms} ms is not a positive finite number")
@@ -327,6 +367,10 @@ def validate_schedule(
         counts[kind] = counts.get(kind, 0) + 1
         if len(violations) < 100:
             violations.append(ScheduleViolation(kind, time_ms, edges, detail))
+
+    for key, n in Counter(se.animation.edge.key for se in schedule.edges).items():
+        if n > 1:
+            add("duplicate-edge", None, (key,), f"scheduled {n} times")
 
     for se in schedule.edges:
         key = se.animation.edge.key
@@ -359,6 +403,26 @@ def validate_schedule(
     margin = max(lag, 0)
     # key -> (grid index of the first sample, samples of the widened span)
     series: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
+    # Entries whose eased samples wait for one easing solve across entries.
+    held: list[tuple[tuple[str, str], int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def check_held() -> None:
+        """Ease every held fraction in one call, then check the entries in order."""
+        batch = np.concatenate([h[4] for h in held])
+        ratios = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, batch)
+        a = 0
+        for key, lo, values, where, fractions in held:
+            values[where] = ratios[a : a + len(fractions)]
+            a += len(fractions)
+            if lo == 0 and len(values) and abs(values[0] - cfg.delta0) > _EPS_RATIO:
+                add("initial-frame", 0.0, (key,), f"ratio {values[0]} at time 0")
+            bad = (values < cfg.delta0 - _EPS_RATIO) | (values > 0.5 + _EPS_RATIO)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                add("ratio-range", float(times[lo + i]), (key,), f"ratio {values[i]}")
+        held.clear()
+
+    waiting = 0
     for se in schedule.edges:
         key = se.animation.edge.key
         lo = hi = 0
@@ -367,14 +431,15 @@ def validate_schedule(
             last_end = max(se.starts) + se.animation.total
             hi = int(np.searchsorted(times, last_end, side="left"))
             lo, hi = max(0, lo - margin), min(count, hi + margin)
-        values = sample_ratio_series(se.animation, se.starts, cfg, times[lo:hi])
+        values, where, fractions = _edge_samples(se.animation, se.starts, cfg, times[lo:hi])
         series[key] = (lo, values)
-        if lo == 0 and len(values) and abs(values[0] - cfg.delta0) > _EPS_RATIO:
-            add("initial-frame", 0.0, (key,), f"ratio {values[0]} at time 0")
-        bad = (values < cfg.delta0 - _EPS_RATIO) | (values > 0.5 + _EPS_RATIO)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            add("ratio-range", float(times[lo + i]), (key,), f"ratio {values[i]}")
+        held.append((key, lo, values, where, fractions))
+        waiting += len(fractions)
+        if waiting >= EASING_BLOCK:
+            check_held()
+            waiting = 0
+    if held:
+        check_held()
 
     if lag >= 0:
         dilated: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
@@ -434,7 +499,7 @@ def schedule_mismatches(layout: GraphLayout, schedule: Schedule) -> list[str]:
     Every layout edge must be scheduled exactly once, every scheduled edge
     must be a layout edge, and each stored morph duration must equal the one
     :func:`edge_animation` gives under the schedule's own configuration.
-    :func:`validate_schedule` does not look at any of this: it treats an
+    :func:`validate_schedule` only reports the duplicates: it treats an
     unscheduled edge as never animating and trusts the stored durations.
     """
     layout_keys = {edge.key for edge in layout.edges}
@@ -537,8 +602,9 @@ def schedule_from_dict(doc: dict) -> Schedule:
 
     Totals and the makespan are recomputed from the stored morph durations
     and the embedded configuration, so a written schedule reads back equal to
-    the in-memory original. The config must be a JSON object, and the edges
-    and each edge's starts JSON arrays.
+    the in-memory original. The config must be a JSON object, the edges and
+    each edge's starts JSON arrays, and every time a JSON number: strings and
+    booleans are refused.
     """
     try:
         config_doc, entries = doc["config"], doc["edges"]
@@ -553,12 +619,12 @@ def schedule_from_dict(doc: dict) -> Schedule:
     for entry in entries:
         try:
             edge = EdgeSpec(str(entry["source"]), str(entry["target"]))
-            tau = float(entry["tau_ms"])
+            tau = json_number(entry["tau_ms"])
             if not isinstance(entry["starts_ms"], list):
                 raise ParseError(
                     f"starts of schedule edge {edge.source}-{edge.target} are not a JSON array"
                 )
-            starts = tuple(float(ts) for ts in entry["starts_ms"])
+            starts = tuple(json_number(ts) for ts in entry["starts_ms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad schedule edge entry: {exc}") from exc
         total = 2.0 * tau + cfg.tau_half
@@ -583,10 +649,13 @@ def schedule_from_dict(doc: dict) -> Schedule:
 
 def parse_schedule(raw: bytes | str) -> Schedule:
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"schedule is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number with too many digits for int()
         raise ParseError(f"schedule is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("schedule document must be a JSON object")

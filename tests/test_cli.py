@@ -272,8 +272,23 @@ class TestCheck:
         lambda doc: doc.update(edges=None),
         lambda doc: doc["edges"][0].update(starts_ms="12"),
         lambda doc: doc.update(config=[]),
+        lambda doc: doc["edges"][0].update(starts_ms=[True]),
+        lambda doc: doc["edges"][0].update(starts_ms=["12"]),
+        lambda doc: doc["edges"][0].update(tau_ms="312.5"),
+        lambda doc: doc["config"].update(delta0="0.25"),
+        lambda doc: doc["config"].update(fps=True),
     ],
-    ids=["edges-number", "edges-null", "starts-string", "config-list"],
+    ids=[
+        "edges-number",
+        "edges-null",
+        "starts-string",
+        "config-list",
+        "start-bool",
+        "start-string",
+        "tau-string",
+        "delta0-string",
+        "fps-bool",
+    ],
 )
 def test_wrongly_typed_schedule_is_domain_error(
     layout_file, schedule_file, tmp_path, capsys, edit
@@ -293,6 +308,28 @@ def test_wrongly_typed_schedule_is_domain_error(
         assert captured.err.startswith("error: ") and "JSON" in captured.err
         assert captured.out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b'{"fps": 1' + b"0" * 5000 + b"}"],
+    ids=["not-utf8", "too-many-digits"],
+)
+def test_unreadable_documents_are_domain_errors(
+    layout_file, schedule_file, tmp_path, capsys, content
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    for argv in (
+        ["validate", str(bad)],
+        ["check", str(layout_file), str(bad)],
+        ["schedule", str(layout_file), "--config", str(bad)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not valid" in captured.err
+        assert captured.out == ""
 
 
 class TestRender:

@@ -106,6 +106,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_layout(json.dumps({"nodes": [{"id": "a"}], "edges": []}))
 
+    @pytest.mark.parametrize("x", [True, "12", None, 10**400], ids=["bool", "string", "null", "huge"])
+    def test_coordinates_must_be_json_numbers(self, x):
+        with pytest.raises(ParseError, match="coordinates must be numbers"):
+            parse_layout(doc([{"id": "a", "x": x, "y": 0}], []))
+
+    def test_number_with_too_many_digits(self):
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_layout(doc([{"id": "a", "x": 0, "y": 0}], []).replace("0,", "1" * 5000 + ",", 1))
+
     def test_bad_color(self):
         with pytest.raises(ParseError, match="unknown color"):
             parse_layout(doc([{"id": "a", "x": 0, "y": 0, "color": "red"}], []))

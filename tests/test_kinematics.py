@@ -261,6 +261,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             config_from_dict(json.loads(doc))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"delta0": "0.25"}',
+            '{"fps": true}',
+            '{"tau_half_ms": "100"}',
+            '{"horizon_ms": false}',
+            '{"sigma_a_px_s": [100]}',
+            '{"tau_distinct_ms": 1' + "0" * 400 + "}",
+        ],
+    )
+    def test_accepts_only_json_numbers(self, doc):
+        with pytest.raises(ConfigError, match="JSON number|does not fit"):
+            parse_config(doc)
+
     def test_rejects_non_monotone_easing(self):
         bad = EasingSpec(CUBIC_KIND, 0.25, 2.0, 0.25, -1.0)
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,8 @@ from edgemorph import (
     validate_schedule,
 )
 import edgemorph.scheduling as scheduling
-from edgemorph.kinematics import ceil_ms
+from edgemorph.easing import CUBIC_KIND, EASE, LINEAR, EasingSpec, evaluate_many
+from edgemorph.kinematics import EdgeAnimation, ceil_ms
 from edgemorph.scheduling import conflict_constraints, sample_ratio_series
 from conftest import DATA_DIR
 from gen_layouts import synth_layout, valid_synth_layout
@@ -373,6 +375,31 @@ class TestValidateSchedule:
         assert validate_schedule(cross_layout, SLOWLIN, silent).passed
 
 
+def loop_ratio_series(anim, starts, cfg, times):
+    """Reference sampler: one start at a time, a later start overwriting."""
+    t = np.asarray(times, dtype=float)
+    out = np.full(t.shape, cfg.delta0)
+    for ts in starts:
+        lo = int(np.searchsorted(t, ts, side="right"))
+        hi = int(np.searchsorted(t, ts + anim.total, side="left"))
+        if lo >= hi:
+            continue
+        rel = t[lo:hi] - ts
+        seg = np.full(rel.shape, 0.5)
+        growing = rel < anim.tau
+        retracting = rel > anim.tau + cfg.tau_half
+        if np.any(growing):
+            seg[growing] = cfg.delta0 + cfg.ratio_span * evaluate_many(
+                cfg.easing, rel[growing] / anim.tau
+            )
+        if np.any(retracting):
+            seg[retracting] = cfg.delta0 + cfg.ratio_span * evaluate_many(
+                cfg.easing, (anim.total - rel[retracting]) / anim.tau
+            )
+        out[lo:hi] = seg
+    return out
+
+
 def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
     """Reference validator: every edge sampled and dilated over the whole grid.
 
@@ -416,7 +443,7 @@ def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
     series = {}
     for se in schedule.edges:
         key = se.animation.edge.key
-        values = sample_ratio_series(se.animation, se.starts, cfg, times)
+        values = loop_ratio_series(se.animation, se.starts, cfg, times)
         series[key] = values
         if abs(values[0] - cfg.delta0) > eps_ratio:
             add("initial-frame", 0.0, (key,), f"ratio {values[0]} at time 0")
@@ -621,6 +648,113 @@ class TestDenseOracle:
         assert violation.time_ms > ab.animation.total
 
 
+EASE_IN_OUT = EasingSpec(CUBIC_KIND, 0.42, 0.0, 0.58, 1.0)
+
+
+class TestSampleRatioSeries:
+    """The one-pass sampler gives the per-start loop's ratios bit for bit."""
+
+    @pytest.mark.parametrize("easing", [LINEAR, EASE, EASE_IN_OUT], ids=["linear", "ease", "in-out"])
+    @pytest.mark.parametrize("step_ms", [0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("tau", [200.0, 437.3])
+    def test_matches_the_start_loop(self, easing, step_ms, tau):
+        cfg = replace(SLOWLIN, easing=easing)
+        anim = EdgeAnimation(EdgeSpec("a", "b"), tau=tau, total=2.0 * tau + cfg.tau_half)
+        times = np.arange(6000) * step_ms
+        on_grid = float(times[300])
+        apart = anim.total + cfg.tau_distinct
+        cases = {
+            "on grid points": (on_grid, float(times[300 + round(apart / step_ms) + 1])),
+            "separated": tuple(100.0 + k * apart for k in range(5)),
+            "negative": (-0.6 * anim.total, -5.0 * anim.total, 2000.0),
+            "duplicate": (on_grid, on_grid),
+            "overlapping": (500.0, 500.0 + 0.3 * anim.total, 500.0 + 0.9 * anim.total),
+            "unsorted": (2500.0, 400.0, 2500.0 - 0.5 * anim.total, 10.0),
+            "beyond the grid": (float(times[-1]) - 0.1, float(times[-1]) + 3.0),
+            "empty": (),
+        }
+        for name, starts in cases.items():
+            for grid in (times, times[37:2900]):
+                got = sample_ratio_series(anim, starts, cfg, grid)
+                assert np.array_equal(got, loop_ratio_series(anim, starts, cfg, grid)), name
+
+
+def test_duplicate_entry_does_not_hide_a_clash():
+    layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+    schedule = compute_schedule(layout, FASTLIN)
+    crossing = find_avoidable_crossings(layout, FASTLIN.delta0)[0]
+    by_key = schedule.starts_by_key()
+    clean = by_key[crossing.edge_a.key]
+    moved = ScheduledEdge(clean.animation, by_key[crossing.edge_b.key].starts)
+
+    def with_entries(edges):
+        makespan = max(ts + se.animation.total for se in edges for ts in se.starts)
+        return replace(schedule, edges=edges, makespan=makespan)
+
+    clashing = tuple(moved if se is clean else se for se in schedule.edges)
+    report = validate_schedule(layout, FASTLIN, with_entries(clashing))
+    assert report.violation_counts == (("crossing-separation", 1),)
+
+    report = validate_schedule(layout, FASTLIN, with_entries(clashing + (clean,)))
+    assert not report.passed
+    assert report.violations[0] == ScheduleViolation(
+        "duplicate-edge", None, (crossing.edge_a.key,), "scheduled 2 times"
+    )
+    assert report.violation_counts == (("duplicate-edge", 1),)
+
+    # Per-entry checks still see every entry of a duplicated edge.
+    early = ScheduledEdge(clean.animation, (-0.5 * clean.animation.total,))
+    report = validate_schedule(layout, FASTLIN, with_entries(clashing + (clean, early)))
+    counts = dict(report.violation_counts)
+    assert counts["duplicate-edge"] == 1
+    assert report.violations[0].detail == "scheduled 3 times"
+    assert counts["start-separation"] == 1 and counts["initial-frame"] == 1
+
+
+class TestEasingBlocks:
+    """Where the validator cuts its easing batches cannot change a report."""
+
+    @pytest.fixture(scope="class")
+    def bench_scale(self):
+        layout = synth_layout(1, 150, 4, spacing=200, bias=1.5)
+        cfg = PRESETS["sloweas"]
+        schedule = compute_schedule(layout, cfg)
+        rng = random.Random(11)
+        edges = []
+        for se in schedule.edges:
+            if rng.random() < 0.2:
+                se = ScheduledEdge(
+                    se.animation,
+                    tuple(sorted(max(0.0, ts + rng.uniform(-300.0, 300.0)) for ts in se.starts)),
+                )
+            edges.append(se)
+        makespan = max(ts + se.animation.total for se in edges for ts in se.starts)
+        shifted = replace(schedule, edges=tuple(edges), makespan=makespan)
+        return layout, cfg, schedule, shifted
+
+    def test_block_size_does_not_change_reports(self, bench_scale, monkeypatch):
+        layout, cfg, schedule, shifted = bench_scale
+        for variant in (schedule, shifted):
+            default = validate_schedule(layout, cfg, variant)
+            for block in (1, 10**9):
+                monkeypatch.setattr(scheduling, "EASING_BLOCK", block)
+                assert validate_schedule(layout, cfg, variant) == default
+            monkeypatch.undo()
+        assert validate_schedule(layout, cfg, schedule).passed
+        assert not validate_schedule(layout, cfg, shifted).passed
+
+    def test_memory_stays_bounded(self, bench_scale):
+        # About 47.4 MiB; one easing batch over the whole schedule peaks near 260 MiB.
+        layout, cfg, schedule, _ = bench_scale
+        tracemalloc.start()
+        try:
+            validate_schedule(layout, cfg, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 52 * 2**20
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_schedules_match_their_layout_after_a_round_trip(preset):
     layout = synth_layout(53, n_nodes=12, density=2.5, spacing=200, bias=1.5)
@@ -708,6 +842,33 @@ class TestSerialization:
         if "append_start" in edit:
             entry["starts_ms"].append(edit["append_start"])
         with pytest.raises(ParseError):
+            parse_schedule(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda doc: doc["edges"][0].update(tau_ms="312.5"), ParseError),
+            (lambda doc: doc["edges"][0].update(tau_ms=True), ParseError),
+            (lambda doc: doc["edges"][0]["starts_ms"].append(True), ParseError),
+            (lambda doc: doc["edges"][0]["starts_ms"].append("9000"), ParseError),
+            (lambda doc: doc["edges"][0]["starts_ms"].append(10**400), ParseError),
+            (lambda doc: doc["config"].update(delta0="0.25"), ConfigError),
+            (lambda doc: doc["config"].update(fps=True), ConfigError),
+        ],
+        ids=[
+            "tau-string",
+            "tau-bool",
+            "start-bool",
+            "start-string",
+            "start-huge",
+            "delta0-string",
+            "fps-bool",
+        ],
+    )
+    def test_times_must_be_json_numbers(self, sample_schedule_doc, edit, error):
+        doc = json.loads(json.dumps(sample_schedule_doc))
+        edit(doc)
+        with pytest.raises(error, match="JSON number|does not fit"):
             parse_schedule(json.dumps(doc))
 
     def test_unsorted_starts_rejected(self, cross_layout):

@@ -320,6 +320,22 @@ def json_number(value) -> float:
         raise ValueError("integer does not fit a float") from exc
 
 
+def json_object(raw: bytes | str, what: str) -> dict:
+    """A document's top-level JSON object; ParseError naming the document otherwise."""
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not valid UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:  # also a number with too many digits for int()
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} document must be a JSON object")
+    return doc
+
+
 def parse_layout(raw: bytes | str) -> GraphLayout:
     """Parse and fully validate a layout interchange document.
 
@@ -327,17 +343,7 @@ def parse_layout(raw: bytes | str) -> GraphLayout:
     "target"}]} with pixel coordinates and optional color roles. Node and edge
     order is preserved, so identical bytes give identical layouts.
     """
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"layout is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # also a number with too many digits for int()
-        raise ParseError(f"layout is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("layout document must be a JSON object")
+    doc = json_object(raw, "layout")
     for key in ("nodes", "edges"):
         if not isinstance(doc.get(key), list):
             raise ParseError(f"layout needs a {key!r} array")

@@ -12,7 +12,6 @@ round-trip without loss.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,18 +28,25 @@ from .easing import (
     parse_easing,
     verify_monotone,
 )
-from .errors import ConfigError, ParseError, RangeError
-from .graph import EdgeSpec, GraphLayout, edge_length, json_number
+from .errors import ConfigError, RangeError
+from .graph import EdgeSpec, GraphLayout, edge_length, json_number, json_object
+
+
+def _microseconds(value: float) -> float:
+    us = value * 1000.0
+    if not math.isfinite(us):
+        raise RangeError(f"{value} ms does not fit the microsecond grid")
+    return us
 
 
 def quantize_ms(value: float) -> float:
-    """Round a millisecond value to the microsecond grid."""
-    return round(value * 1000.0) / 1000.0
+    """Round a millisecond value to the microsecond grid; RangeError if it overflows."""
+    return round(_microseconds(value)) / 1000.0
 
 
 def ceil_ms(value: float) -> float:
-    """Smallest microsecond-grid value at or above the input."""
-    return math.ceil(value * 1000.0) / 1000.0
+    """Smallest microsecond-grid value at or above the input; RangeError if it overflows."""
+    return math.ceil(_microseconds(value)) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,48 @@ def edge_animation(
     return EdgeAnimation(edge=edge, tau=tau, total=2.0 * tau + cfg.tau_half)
 
 
+def animated_cells(
+    times: np.ndarray,
+    starts: Sequence[float],
+    tau: float | np.ndarray,
+    total: float | np.ndarray,
+    hold: float,
+    offsets: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one stub-ratio kernel: which cells of a time grid animate, and how.
+
+    A start animates each time t of the ascending grid with
+    start < t < start + total, compared on absolute times. With
+    rel = t - start the edge grows while rel < tau, is fully drawn while
+    rel <= tau + hold, then retracts. tau and total are scalars or one per
+    start. A cell is a grid index plus its start's offset, if given, and the
+    start listed later owns a cell that two spans share. Returns the
+    animated cells, the mask of those still easing and their time fractions.
+    """
+    s = np.asarray(starts, dtype=float)
+    tau, total = np.asarray(tau, dtype=float), np.asarray(total, dtype=float)
+    lo = times.searchsorted(s, side="right")
+    hi = times.searchsorted(s + total, side="left")
+    lengths = np.maximum(hi - lo, 0)
+    idx = np.arange(lengths.sum()) + (lo - lengths.cumsum() + lengths).repeat(lengths)
+    cells = idx if offsets is None else idx + offsets.repeat(lengths)
+    ts = s.repeat(lengths)
+    if tau.ndim:
+        tau, total = tau.repeat(lengths), total.repeat(lengths)
+    if (cells[1:] <= cells[:-1]).any():
+        # Overlapping spans: keep each cell's last writer in start order.
+        order = np.argsort(cells, kind="stable")
+        keep = order[np.append(cells[order][1:] != cells[order][:-1], True)]
+        cells, idx, ts = cells[keep], idx[keep], ts[keep]
+        if tau.ndim:
+            tau, total = tau[keep], total[keep]
+    rel = times[idx] - ts
+    growing = rel < tau
+    eased = growing | (rel > tau + hold)
+    fractions = np.where(growing, rel, total - rel)[eased]
+    return cells, eased, fractions / (tau[eased] if tau.ndim else tau)
+
+
 def stub_ratio_matrix(
     cfg: AnimationConfig,
     edges: Sequence[tuple[EdgeAnimation, Sequence[float]] | None],
@@ -139,45 +187,26 @@ def stub_ratio_matrix(
 ) -> np.ndarray:
     """Stub ratios of many edges at many absolute times, as an edges x times array.
 
-    Each entry of ``edges`` is an animation with its ascending start times, or
-    None for an edge that never animates. At time t the latest start at or
-    before t sets the offset rel = t - start. The ratio is piecewise in rel:
-    resting when rel <= 0 or rel >= total, eased growth while rel < tau, fully
-    drawn while rel <= tau + hold, then the growth curve mirrored in time.
-    All growing and retracting fractions go through one easing evaluation.
+    Each entry of ``edges`` is an animation with its start times, or None for
+    an edge that never animates. All starts go through one call of
+    :func:`animated_cells`, row r at cell offset r * len(times), and all eased
+    fractions through one easing evaluation; every other cell rests at delta0.
     """
     t = np.asarray(times, dtype=float)
-    rel = np.zeros((len(edges), t.size))
-    tau = np.ones((len(edges), 1))
-    total = np.zeros((len(edges), 1))
-    for row, entry in enumerate(edges):
-        if entry is None or not entry[1]:
-            continue
-        anim, starts = entry
-        s = np.asarray(starts, dtype=float)
-        latest = np.searchsorted(s, t, side="right")
-        live = latest > 0
-        rel[row, live] = t[live] - s[latest[live] - 1]
-        tau[row] = anim.tau
-        total[row] = anim.total
-    tau = np.broadcast_to(tau, rel.shape)
-    total = np.broadcast_to(total, rel.shape)
-    animating = (rel > 0.0) & (rel < total)
-    growing = animating & (rel < tau)
-    retracting = animating & (rel > tau + cfg.tau_half)
-    out = np.full(rel.shape, cfg.delta0)
-    out[animating & ~growing & ~retracting] = 0.5
-    n_growing = int(np.count_nonzero(growing))
-    if n_growing or np.any(retracting):
-        fractions = np.concatenate(
-            (
-                rel[growing] / tau[growing],
-                (total[retracting] - rel[retracting]) / tau[retracting],
-            )
-        )
-        ratios = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
-        out[growing] = ratios[:n_growing]
-        out[retracting] = ratios[n_growing:]
+    out = np.full((len(edges), t.size), cfg.delta0)
+    rows = [(row, *entry) for row, entry in enumerate(edges) if entry is not None]
+    counts = [len(starts) for _, _, starts in rows]
+    cells, eased, fractions = animated_cells(
+        t,
+        [ts for _, _, starts in rows for ts in starts],
+        np.repeat([anim.tau for _, anim, _ in rows], counts),
+        np.repeat([anim.total for _, anim, _ in rows], counts),
+        cfg.tau_half,
+        np.repeat([row * t.size for row, _, _ in rows], counts).astype(int),
+    )
+    flat = out.reshape(-1)
+    flat[cells] = 0.5
+    flat[cells[eased]] = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
     return out
 
 
@@ -256,15 +285,4 @@ def config_from_dict(doc: dict) -> AnimationConfig:
 
 def parse_config(raw: bytes | str) -> AnimationConfig:
     """Parse a configuration document; absent keys fall back to the defaults."""
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"config is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # also a number with too many digits for int()
-        raise ParseError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("config document must be a JSON object")
-    return config_from_dict(doc)
+    return config_from_dict(json_object(raw, "config"))

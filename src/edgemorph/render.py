@@ -6,10 +6,11 @@ filled disks over the edge stubs on a white background; the drawing area is
 the node bounding box plus a 10 px margin. Coordinates are written with three
 decimal places.
 
-Every path samples stub ratios through one kernel,
-:func:`~edgemorph.kinematics.stub_ratio_matrix`: an export builds the
-edges x frames ratio matrix once and derives all stub tips from it with array
-arithmetic, in the same affine form as :func:`~edgemorph.graph.stub_pair`.
+Every path samples stub ratios through
+:func:`~edgemorph.kinematics.stub_ratio_matrix`, on the one stub-ratio kernel
+that the validator samples too, so ``check`` verifies exactly the ratios drawn.
+An export builds the edges x frames ratio matrix once and derives all stub
+tips from it with array arithmetic, as :func:`~edgemorph.graph.stub_pair` does.
 The frame files and the animated document both read those tips, and
 :func:`sample_frame` is the one-column case. The animated export embeds
 per-stub tip keyframes, sampled at the configured frame rate, as declarative

@@ -25,11 +25,11 @@ separation, per-edge start separation, and the resting initial frame, without
 reusing any of the interval arithmetic that placed the starts. An edge rests
 at delta0 outside its animated span, so only that span, widened on each side
 by the distinctness time, is sampled and kept: memory grows with the animated
-samples, not with edges times the grid. Each edge's span is sampled in one
-array pass over all of its starts, and the eased samples of consecutive
-edges are solved together, one easing call per block of about
-:data:`EASING_BLOCK` fractions, so the easing cost is arithmetic, not call
-overhead, and the fractions held at once stay bounded.
+samples, not with edges times the grid. The spans go through the stub-ratio
+kernel that rendering uses, and the eased samples of consecutive edges are
+solved together, one easing call per block of about :data:`EASING_BLOCK`
+fractions, so the easing cost is arithmetic, not call overhead, and the
+fractions held at once stay bounded.
 
 All starts are quantized to microseconds when placed (rounding up, which can
 only relax separations), so serialized schedules with times at 3 decimal
@@ -51,10 +51,11 @@ from scipy.ndimage import maximum_filter1d
 from .crossings import find_avoidable_crossings
 from .easing import evaluate_many, invert_many
 from .errors import ConfigError, ParseError, RangeError, UsageError
-from .graph import EdgeSpec, GraphLayout, json_number
+from .graph import EdgeSpec, GraphLayout, json_number, json_object
 from .kinematics import (
     AnimationConfig,
     EdgeAnimation,
+    animated_cells,
     ceil_ms,
     config_from_dict,
     config_to_dict,
@@ -65,6 +66,8 @@ _EPS_MS = 1e-6      # forgiveness for float noise in time comparisons
 _EPS_RATIO = 1e-12  # forgiveness for float noise in ratio comparisons
 #: Most samples one validator grid may hold: about 16.7 minutes at 1 ms steps.
 MAX_SAMPLES = 1_000_000
+#: Most starts one schedule may hold: about a second of repeat passes.
+MAX_STARTS = 100_000
 #: Eased fractions the validator collects across edges before one easing
 #: solve: large enough that per-call overhead no longer dominates, small
 #: enough that the solver's temporaries stay in cache and a batch never
@@ -140,7 +143,8 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
 
     Deterministic: ties in morph duration break lexicographically by edge id,
     and repeat passes walk edges in the same order. Raises ConfigError when a
-    horizon is too short for even a single animation of every edge.
+    horizon is too short for even a single animation of every edge, or so
+    long that the schedule would hold more than :data:`MAX_STARTS` starts.
     """
     animations = {e.key: edge_animation(e, layout, cfg) for e in layout.edges}
     partners: dict[tuple[str, str], list[tuple[tuple[str, str], float, float]]] = {
@@ -212,7 +216,7 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
         # Windows only accumulate and a failed edge keeps its base, so its
         # candidate can only move later: an edge that overruns the horizon
         # once is retired for good.
-        active = order
+        active, count = order, len(order)
         while active:
             placed = []
             for key in active:
@@ -221,7 +225,11 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
                 if candidate + animations[key].total <= cfg.horizon + _EPS_MS:
                     place(key, candidate)
                     placed.append(key)
-            active = placed
+            active, count = placed, count + len(placed)
+            if count > MAX_STARTS:
+                raise ConfigError(
+                    f"horizon {cfg.horizon} ms needs more than {MAX_STARTS} starts"
+                )
 
     scheduled = tuple(
         ScheduledEdge(animations[key], tuple(starts[key]))
@@ -234,52 +242,23 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     return Schedule(config=cfg, edges=scheduled, makespan=makespan)
 
 
-def _edge_samples(
-    anim: EdgeAnimation,
-    starts: tuple[float, ...],
-    cfg: AnimationConfig,
-    t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One edge's ratios on an ascending grid, with the eased ones left to solve.
-
-    Returns (values, where, fractions). values is delta0 at rest and 1/2
-    while fully drawn; values[where] still has to be set to
-    delta0 + ratio_span * evaluate_many(easing, fractions). Every start is
-    handled in one array pass: it animates the grid times after it and
-    before its end, and where two spans overlap the start listed later wins.
-    """
-    values = np.full(t.shape, cfg.delta0)
-    s = np.asarray(starts, dtype=float)
-    lo = t.searchsorted(s, side="right")
-    hi = t.searchsorted(s + anim.total, side="left")
-    lengths = np.maximum(hi - lo, 0)
-    idx = np.arange(lengths.sum()) + (lo - lengths.cumsum() + lengths).repeat(lengths)
-    ts = s.repeat(lengths)
-    if (idx[1:] <= idx[:-1]).any():
-        # Overlapping spans: keep each sample's last writer in start order.
-        order = np.argsort(idx, kind="stable")
-        idx, ts = idx[order], ts[order]
-        last = np.append(idx[1:] != idx[:-1], True)
-        idx, ts = idx[last], ts[last]
-    rel = t[idx] - ts
-    growing = rel < anim.tau
-    eased = growing | (rel > anim.tau + cfg.tau_half)
-    values[idx] = 0.5
-    fractions = np.where(growing, rel, anim.total - rel)[eased] / anim.tau
-    return values, idx[eased], fractions
-
-
 def sample_ratio_series(
     anim: EdgeAnimation,
     starts: tuple[float, ...],
     cfg: AnimationConfig,
     times: np.ndarray,
 ) -> np.ndarray:
-    """Stub ratio of one edge at every time of an ascending sample grid."""
-    values, where, fractions = _edge_samples(
-        anim, starts, cfg, np.asarray(times, dtype=float)
-    )
-    values[where] = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
+    """Stub ratio of one edge at every time of an ascending sample grid.
+
+    Bit for bit the edge's row of :func:`~edgemorph.kinematics.stub_ratio_matrix`,
+    through the same kernel: a start animates the times t with
+    start < t < start + total, and where spans overlap the later-listed start wins.
+    """
+    t = np.asarray(times, dtype=float)
+    values = np.full(t.shape, cfg.delta0)
+    cells, eased, fractions = animated_cells(t, starts, anim.tau, anim.total, cfg.tau_half)
+    values[cells] = 0.5
+    values[cells[eased]] = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
     return values
 
 
@@ -337,13 +316,12 @@ def validate_schedule(
     The report is the one sampling every edge over the whole grid gives, but
     memory grows with the animated samples, not with edges times grid samples.
 
-    Each entry's span goes through the array pass behind
-    :func:`sample_ratio_series`, but its eased fractions are held back: once
-    about :data:`EASING_BLOCK` of them wait, across entries, one easing call
-    solves them all and the held entries are checked in schedule order. The
-    easing is elementwise, so the ratios are bit for bit the per-edge ones,
-    and the held fractions add at most one block plus one entry's worth to
-    the memory of the spans.
+    Each entry's span goes through :func:`~edgemorph.kinematics.animated_cells`,
+    but its eased fractions are held back: once about :data:`EASING_BLOCK`
+    wait, one easing call solves them all and the held entries are checked
+    in schedule order. The easing is elementwise, so the ratios are bit for
+    bit the ones rendering draws, and the held fractions add at most one
+    block plus one entry's worth to the memory of the spans.
     """
     if not 0.0 < step_ms < math.inf:
         raise RangeError(f"validator step {step_ms} ms is not a positive finite number")
@@ -431,9 +409,13 @@ def validate_schedule(
             last_end = max(se.starts) + se.animation.total
             hi = int(np.searchsorted(times, last_end, side="left"))
             lo, hi = max(0, lo - margin), min(count, hi + margin)
-        values, where, fractions = _edge_samples(se.animation, se.starts, cfg, times[lo:hi])
+        cells, eased, fractions = animated_cells(
+            times[lo:hi], se.starts, se.animation.tau, se.animation.total, cfg.tau_half
+        )
+        values = np.full(hi - lo, cfg.delta0)
+        values[cells] = 0.5
         series[key] = (lo, values)
-        held.append((key, lo, values, where, fractions))
+        held.append((key, lo, values, cells[eased], fractions))
         waiting += len(fractions)
         if waiting >= EASING_BLOCK:
             check_held()
@@ -648,15 +630,4 @@ def schedule_from_dict(doc: dict) -> Schedule:
 
 
 def parse_schedule(raw: bytes | str) -> Schedule:
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"schedule is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # also a number with too many digits for int()
-        raise ParseError(f"schedule is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("schedule document must be a JSON object")
-    return schedule_from_dict(doc)
+    return schedule_from_dict(json_object(raw, "schedule"))

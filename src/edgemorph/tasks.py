@@ -25,7 +25,6 @@ from .graph import GraphLayout, with_color_roles
 
 TASKS = ("T1", "T2", "T3", "T4", "T5")
 BOOLEAN_TASKS = ("T1", "T3")
-COUNTING_TASKS = ("T2", "T4", "T5")
 
 
 def _node_ids(layout: GraphLayout, ids) -> list[str]:

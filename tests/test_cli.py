@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +334,44 @@ def test_unreadable_documents_are_domain_errors(
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "not valid" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tau-half", "1e306"],
+        ["--sigma-a", "1e-300"],
+        ["--tau-distinct", "1e308"],
+        ["--model", "fastlin", "--horizon", "1e308"],
+    ],
+    ids=["tau-half", "sigma-a", "tau-distinct", "horizon"],
+)
+def test_extreme_schedule_flags_exit_one_in_seconds(tmp_path, flags):
+    """Times past the microsecond grid, or more starts than a schedule may
+    hold, are domain errors, reported at once: no traceback and no hang."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "schedule.json"
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from edgemorph.cli import main; sys.exit(main())",
+            "schedule",
+            str(DATA_DIR / "sample_dense_40.json"),
+            *flags,
+            "-o",
+            str(out),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 class TestRender:

@@ -22,7 +22,7 @@ from edgemorph import (
     parse_config,
 )
 from edgemorph.easing import CUBIC_KIND
-from edgemorph.kinematics import config_from_dict, quantize_ms, stub_ratio_matrix
+from edgemorph.kinematics import ceil_ms, config_from_dict, quantize_ms, stub_ratio_matrix
 from edgemorph.scheduling import sample_ratio_series
 
 SLOWLIN = PRESETS["slowlin"]
@@ -290,3 +290,10 @@ def test_quantize_ms():
     assert quantize_ms(1000.00004) == 1000.0
     assert quantize_ms(1000.0006) == 1000.001
     assert quantize_ms(math.pi) == 3.142
+
+
+@pytest.mark.parametrize("value", [1e306, -1e306, math.inf, math.nan])
+def test_microsecond_grid_overflow_is_range_error(value):
+    for round_ms in (quantize_ms, ceil_ms):
+        with pytest.raises(RangeError):
+            round_ms(value)

@@ -88,7 +88,7 @@ class TestSampleFrame:
                 frame_ratio = {s.edge.key: s.ratio for s in frame.stubs}[
                     se.animation.edge.key
                 ]
-                assert frame_ratio == pytest.approx(float(series[i]), abs=1e-12)
+                assert frame_ratio == float(series[i])
 
     def test_repeated_animation_uses_latest_start(self, cross_layout):
         cfg = replace(SLOWLIN, horizon=7000.0)
@@ -244,8 +244,11 @@ def scalar_ratio(cfg, scheduled, t):
     if i == 0:
         return cfg.delta0
     anim = scheduled.animation
-    rel = t - scheduled.starts[i - 1]
-    if rel <= 0.0 or rel >= anim.total:
+    start = scheduled.starts[i - 1]
+    rel = t - start
+    # The span ends on absolute times, the same rule as loop_ratio_series in
+    # test_scheduling.py: t - start < total can round differently.
+    if rel <= 0.0 or t >= start + anim.total:
         return cfg.delta0
     if rel < anim.tau:
         return cfg.delta0 + cfg.ratio_span * evaluate(cfg.easing, rel / anim.tau)
@@ -312,6 +315,42 @@ def test_ratio_kernel_equals_scalar_definition(preset, keep_every_edge):
         assert frame.stubs == tuple(
             stub_pair(layout, edge, stub.ratio) for edge, stub in zip(layout.edges, frame.stubs)
         )
+
+
+def overlapping_schedule():
+    """A five-node schedule whose edges restart mid-animation, starts unsorted."""
+    layout, cfg, schedule = multi_start_schedule("sloweas", True)
+    edges = []
+    for k, se in enumerate(schedule.edges):
+        anim = se.animation
+        extra = (se.starts[0] + anim.tau / (k + 2), se.starts[-1] + anim.total / 2)
+        edges.append(replace(se, starts=extra[k % 2 :] + se.starts))
+    return layout, cfg, replace(schedule, edges=tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*KERNEL_CASES, "overlapping"],
+    ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)),
+)
+def test_matrix_rows_equal_validator_series(case):
+    """Render and check sample the same ratios, to the last bit."""
+    if case == "overlapping":
+        layout, cfg, schedule = overlapping_schedule()
+    else:
+        layout, cfg, schedule = multi_start_schedule(*case)
+    by_key = schedule.starts_by_key()
+    scheduled = [by_key.get(edge.key) for edge in layout.edges]
+    times = np.array(boundary_times(schedule))
+    matrix = stub_ratio_matrix(
+        cfg, [None if se is None else (se.animation, se.starts) for se in scheduled], times
+    )
+    for row, se in zip(matrix, scheduled):
+        if se is None:
+            assert np.all(row == cfg.delta0)
+        else:
+            series = sample_ratio_series(se.animation, se.starts, cfg, times)
+            assert np.array_equal(row, series)
 
 
 @pytest.mark.parametrize("preset, keep_every_edge", KERNEL_CASES)

@@ -117,21 +117,27 @@ def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.nda
     return p
 
 
+def _across_curve(spec: EasingSpec, values, inverse: bool, what: str) -> np.ndarray:
+    """Map values in [0, 1] across the curve: x to y, or y to x when inverse."""
+    v = np.asarray(values, dtype=float)
+    if np.any(~((v >= 0.0) & (v <= 1.0))):
+        raise RangeError(f"{what} outside [0, 1]")
+    if spec.is_linear:
+        return v.copy()
+    x, y = _coefficients(spec.x1, spec.x2), _coefficients(spec.y1, spec.y2)
+    solve, read = (y, x) if inverse else (x, y)
+    out = np.clip(_cubic(read, _solve_monotone_cubic(solve, v)), 0.0, 1.0)
+    out = np.where(v == 0.0, 0.0, out)
+    out = np.where(v == 1.0, 1.0, out)
+    return out
+
+
 def evaluate_many(spec: EasingSpec, time_fracs) -> np.ndarray:
     """Vectorized progress values for time fractions in [0, 1].
 
     Interior values are clamped to [0, 1]; 0 and 1 map to exactly 0 and 1.
     """
-    t = np.asarray(time_fracs, dtype=float)
-    if np.any(~((t >= 0.0) & (t <= 1.0))):
-        raise RangeError("time fraction outside [0, 1]")
-    if spec.is_linear:
-        return t.copy()
-    p = _solve_monotone_cubic(_coefficients(spec.x1, spec.x2), t)
-    out = np.clip(_cubic(_coefficients(spec.y1, spec.y2), p), 0.0, 1.0)
-    out = np.where(t == 0.0, 0.0, out)
-    out = np.where(t == 1.0, 1.0, out)
-    return out
+    return _across_curve(spec, time_fracs, False, "time fraction")
 
 
 def evaluate(spec: EasingSpec, time_frac: float) -> float:
@@ -145,16 +151,7 @@ def invert_many(spec: EasingSpec, progresses) -> np.ndarray:
     Only meaningful for accepted (strictly increasing) specs; configurations
     guarantee that before any inversion happens.
     """
-    g = np.asarray(progresses, dtype=float)
-    if np.any(~((g >= 0.0) & (g <= 1.0))):
-        raise RangeError("progress outside [0, 1]")
-    if spec.is_linear:
-        return g.copy()
-    p = _solve_monotone_cubic(_coefficients(spec.y1, spec.y2), g)
-    out = np.clip(_cubic(_coefficients(spec.x1, spec.x2), p), 0.0, 1.0)
-    out = np.where(g == 0.0, 0.0, out)
-    out = np.where(g == 1.0, 1.0, out)
-    return out
+    return _across_curve(spec, progresses, True, "progress")
 
 
 def invert(spec: EasingSpec, progress: float) -> float:

@@ -9,10 +9,10 @@ decimal places.
 Every path samples stub ratios through
 :func:`~edgemorph.kinematics.stub_ratio_matrix`, on the one stub-ratio kernel
 that the validator samples too, so ``check`` verifies exactly the ratios drawn.
-An export builds the edges x frames ratio matrix once and derives all stub
-tips from it with array arithmetic, as :func:`~edgemorph.graph.stub_pair` does.
-The frame files and the animated document both read those tips, and
-:func:`sample_frame` is the one-column case. The animated export embeds
+An export builds the edges x frames ratio matrix and derives all stub tips
+from it with array arithmetic, as :func:`~edgemorph.graph.stub_pair` does:
+frame files in blocks of frames, the animated document in one piece, and
+:func:`sample_frame` as the one-column case. The animated export embeds
 per-stub tip keyframes, sampled at the configured frame rate, as declarative
 animation elements in one self-contained SVG, so linear and cubic easing share
 a single export path.
@@ -35,6 +35,8 @@ from .scheduling import Schedule
 MARGIN_PX = 10.0
 #: Most frames one export may sample: about 55 minutes at 30 fps.
 MAX_FRAMES = 100_000
+#: Frames whose stub tips a frames export holds at once.
+FRAME_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,8 @@ def export_animation(
     Frames are named frame_%06d.svg and sampled at the configured frame rate
     from time zero through the first frame at or past the makespan; the
     animated document is animation.svg. Returns the written paths in order.
-    Both read one stub-ratio matrix built for the whole export. An export of
+    Frame files are sampled in blocks of :data:`FRAME_BLOCK` frames, the
+    animated document, whose text holds every value anyway, in one. An export of
     more than :data:`MAX_FRAMES` frames raises ConfigError before the
     directory is created.
     """
@@ -288,13 +291,16 @@ def export_animation(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    tips = _stub_tips(layout, cfg, schedule, times)
     if frames:
-        for k, frame in enumerate(_frames(layout, times, tips)):
-            path = out_dir / f"frame_{k:06d}.svg"
-            path.write_text(frame_to_svg(frame, style), encoding="utf-8")
-            written.append(path)
+        for first in range(0, len(times), FRAME_BLOCK):
+            block = times[first : first + FRAME_BLOCK]
+            tips = _stub_tips(layout, cfg, schedule, block)
+            for k, frame in enumerate(_frames(layout, block, tips), start=first):
+                path = out_dir / f"frame_{k:06d}.svg"
+                path.write_text(frame_to_svg(frame, style), encoding="utf-8")
+                written.append(path)
     if animated:
+        tips = _stub_tips(layout, cfg, schedule, times)
         path = out_dir / "animation.svg"
         path.write_text(_animated_svg(layout, cfg, times, tips, style), encoding="utf-8")
         written.append(path)

@@ -29,7 +29,8 @@ samples, not with edges times the grid. The spans go through the stub-ratio
 kernel that rendering uses, and the eased samples of consecutive edges are
 solved together, one easing call per block of about :data:`EASING_BLOCK`
 fractions, so the easing cost is arithmetic, not call overhead, and the
-fractions held at once stay bounded.
+fractions held at once stay bounded. Each crossing partner's ratios are
+dilated over the distinctness window by a numpy running maximum.
 
 All starts are quantized to microseconds when placed (rounding up, which can
 only relax separations), so serialized schedules with times at 3 decimal
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 from statistics import fmean
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .crossings import find_avoidable_crossings
 from .easing import evaluate_many, invert_many
@@ -60,6 +60,7 @@ from .kinematics import (
     config_from_dict,
     config_to_dict,
     edge_animation,
+    stub_ratio_matrix,
 )
 
 _EPS_MS = 1e-6      # forgiveness for float noise in time comparisons
@@ -250,16 +251,11 @@ def sample_ratio_series(
 ) -> np.ndarray:
     """Stub ratio of one edge at every time of an ascending sample grid.
 
-    Bit for bit the edge's row of :func:`~edgemorph.kinematics.stub_ratio_matrix`,
-    through the same kernel: a start animates the times t with
-    start < t < start + total, and where spans overlap the later-listed start wins.
+    The edge's row of :func:`~edgemorph.kinematics.stub_ratio_matrix`: a start
+    animates the times t with start < t < start + total, and where spans
+    overlap the later-listed start wins.
     """
-    t = np.asarray(times, dtype=float)
-    values = np.full(t.shape, cfg.delta0)
-    cells, eased, fractions = animated_cells(t, starts, anim.tau, anim.total, cfg.tau_half)
-    values[cells] = 0.5
-    values[cells[eased]] = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
-    return values
+    return stub_ratio_matrix(cfg, [(anim, starts)], times)[0]
 
 
 @dataclass(frozen=True)
@@ -286,6 +282,27 @@ class ScheduleReport:
     violation_counts: tuple[tuple[str, int], ...] = ()
 
 
+def _window_max(values: np.ndarray, lag: int, pad: float) -> np.ndarray:
+    """Maximum over each sample's +-lag neighbours, pad beyond both ends.
+
+    Windows double up to the largest power of two within 2 * lag + 1; two of
+    them, one from each end, cover a full window. Max is exact, so any split
+    of the windows gives the same floats.
+    """
+    width = 2 * lag + 1
+    peak = np.concatenate([np.full(lag, pad), values, np.full(lag, pad)])
+    spare = peak.copy()
+    span = 1
+    while 2 * span <= width:
+        # Two buffers, because numpy copies an input that overlaps the output.
+        np.maximum(peak[:-span], peak[span:], out=spare[:-span])
+        peak, spare = spare, peak
+        span *= 2
+    # peak[i] is now the max of padded samples i .. i + span - 1.
+    n = len(values)
+    return np.maximum(peak[:n], peak[width - span : width - span + n])
+
+
 def validate_schedule(
     layout: GraphLayout,
     cfg: AnimationConfig,
@@ -297,7 +314,8 @@ def validate_schedule(
     Samples every edge's ratio on a step_ms grid over the whole schedule and
     checks: (a) ratios stay within [delta0, 1/2]; (b) for every avoidable
     crossing the two edges never cover the point within tau_distinct of each
-    other (a gap of exactly tau_distinct is fine); (c) per-edge starts are
+    other (a gap of exactly tau_distinct is fine; at 0 coverages may touch,
+    so a clash takes two consecutive samples); (c) per-edge starts are
     non-negative, sorted, and separated by a full animation plus tau_distinct;
     (d) everything rests at delta0 at time zero; (e) no edge is scheduled
     more than once. Checks (a), (c) and (d) run on every entry of a duplicated
@@ -310,11 +328,13 @@ def validate_schedule(
     Only each edge's animated span is sampled, widened on each side by the
     samples within tau_distinct: the span runs from its earliest start to its
     latest start plus one animation, and the edge rests at delta0 everywhere
-    else. A crossing is checked where both widened spans overlap, except that
-    one whose nearer ratio lies within float noise of delta0, so that the
-    resting ratio already counts as covering, is checked on the whole grid.
-    The report is the one sampling every edge over the whole grid gives, but
-    memory grows with the animated samples, not with edges times grid samples.
+    else. The second edge of a crossing is dilated by :func:`_window_max`
+    over those samples. A crossing is checked where both widened spans
+    overlap, except that one whose nearer ratio lies within float noise of
+    delta0, so that the resting ratio already counts as covering, is checked
+    on the whole grid. The report is the one sampling every edge over the
+    whole grid gives, but memory grows with the animated samples, not with
+    edges times grid samples.
 
     Each entry's span goes through :func:`~edgemorph.kinematics.animated_cells`,
     but its eased fractions are held back: once about :data:`EASING_BLOCK`
@@ -423,48 +443,49 @@ def validate_schedule(
     if held:
         check_held()
 
-    if lag >= 0:
-        dilated: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
+    dilated: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
 
-        def dilate(key: tuple[str, str]) -> tuple[int, np.ndarray]:
-            """Maximum of the series over +-lag samples, on its widened span.
+    def dilate(key: tuple[str, str]) -> tuple[int, np.ndarray]:
+        """Maximum of the series over +-margin samples, on its widened span.
 
-            The span holds every sample within lag of an animated one and the
-            series is delta0 beyond it, so with cval=delta0 the filter of the
-            span equals the dilation of the whole grid there.
-            """
-            if key not in dilated:
-                first, values = series[key]
-                peak = maximum_filter1d(values, 2 * lag + 1, mode="constant", cval=cfg.delta0)
-                dilated[key] = (first, peak)
-            return dilated[key]
+        The span holds every sample within margin of an animated one and the
+        series is delta0 beyond it, so the window maximum of the span, padded
+        with delta0, equals the dilation of the whole grid there.
+        """
+        if key not in dilated:
+            first, values = series[key]
+            dilated[key] = (first, _window_max(values, margin, cfg.delta0))
+        return dilated[key]
 
-        for crossing in find_avoidable_crossings(layout, cfg.delta0):
-            key_a, key_b = crossing.edge_a.key, crossing.edge_b.key
-            if key_a not in by_key or key_b not in by_key:
-                continue
-            nearer_a = min(crossing.ratio_a, 1.0 - crossing.ratio_a)
-            nearer_b = min(crossing.ratio_b, 1.0 - crossing.ratio_b)
-            (first_a, values_a), (first_b, dilated_b) = series[key_a], dilate(key_b)
-            if min(nearer_a, nearer_b) - _EPS_RATIO <= cfg.delta0:
-                lo, hi = 0, count
-            else:
-                lo = max(first_a, first_b)
-                hi = min(first_a + len(values_a), first_b + len(dilated_b))
-            if lo >= hi:
-                continue
-            cover_a = on_grid(first_a, values_a, lo, hi) >= nearer_a - _EPS_RATIO
-            near_b = on_grid(first_b, dilated_b, lo, hi) >= nearer_b - _EPS_RATIO
-            clash = cover_a & near_b
-            if np.any(clash):
-                i = lo + int(np.argmax(clash))
-                add(
-                    "crossing-separation",
-                    float(times[i]),
-                    (key_a, key_b),
-                    f"both within {cfg.tau_distinct} ms of crossing "
-                    f"({crossing.point[0]:.3f}, {crossing.point[1]:.3f})",
-                )
+    for crossing in find_avoidable_crossings(layout, cfg.delta0):
+        key_a, key_b = crossing.edge_a.key, crossing.edge_b.key
+        if key_a not in by_key or key_b not in by_key:
+            continue
+        nearer_a = min(crossing.ratio_a, 1.0 - crossing.ratio_a)
+        nearer_b = min(crossing.ratio_b, 1.0 - crossing.ratio_b)
+        (first_a, values_a), (first_b, dilated_b) = series[key_a], dilate(key_b)
+        if min(nearer_a, nearer_b) - _EPS_RATIO <= cfg.delta0:
+            lo, hi = 0, count
+        else:
+            lo = max(first_a, first_b)
+            hi = min(first_a + len(values_a), first_b + len(dilated_b))
+        if lo >= hi:
+            continue
+        cover_a = on_grid(first_a, values_a, lo, hi) >= nearer_a - _EPS_RATIO
+        near_b = on_grid(first_b, dilated_b, lo, hi) >= nearer_b - _EPS_RATIO
+        clash = cover_a & near_b
+        if lag < 0:
+            # Coverages that only touch share one instant, allowed at 0.
+            clash = clash[:-1] & clash[1:]
+        if np.any(clash):
+            i = lo + int(np.argmax(clash))
+            add(
+                "crossing-separation",
+                float(times[i]),
+                (key_a, key_b),
+                f"both within {cfg.tau_distinct} ms of crossing "
+                f"({crossing.point[0]:.3f}, {crossing.point[1]:.3f})",
+            )
 
     return ScheduleReport(
         passed=not violations,

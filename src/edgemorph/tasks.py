@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import RangeError, UsageError
 from .graph import GraphLayout, with_color_roles
@@ -194,15 +194,7 @@ def make_trial(layout: GraphLayout, task: str, rng_seed: int) -> TrialSpec:
             region_b=tuple(picked[size_a:]),
         )
 
-    return TrialSpec(
-        task=trial.task,
-        blue=trial.blue,
-        orange=trial.orange,
-        k=trial.k,
-        region_a=trial.region_a,
-        region_b=trial.region_b,
-        ground_truth=ground_truth_for(layout, trial),
-    )
+    return replace(trial, ground_truth=ground_truth_for(layout, trial))
 
 
 def apply_trial_roles(layout: GraphLayout, trial: TrialSpec) -> GraphLayout:

@@ -199,6 +199,19 @@ class TestCheck:
         assert "a,b c,d" in lines[0]
         assert lines[-1] == "failed 1 violations (1 crossing-separation), 0 not listed"
 
+    def test_zero_distinctness(self, layout_file, tmp_path, capsys):
+        # The second edge starts covering the crossing as the first one stops.
+        path = tmp_path / "zero.json"
+        args = ["schedule", str(layout_file), "--model", "slowlin", "--tau-distinct", "0"]
+        assert main([*args, "-o", str(path)]) == 0
+        assert main(["check", str(layout_file), str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["edges"][1]["starts_ms"] = [doc["edges"][1]["starts_ms"][0] - 50.0]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(layout_file), str(path)]) == 1
+        assert capsys.readouterr().out.startswith("crossing-separation ")
+
     def test_unlisted_violations_are_counted(self, tmp_path, capsys):
         layout_path = DATA_DIR / "sample_dense_40.json"
         layout = parse_layout(layout_path.read_bytes())
@@ -629,3 +642,41 @@ class TestStats:
         out = capsys.readouterr().out
         slowdown = float(out.strip().splitlines()[-1].split()[1])
         assert 0.5 <= slowdown <= 1.0
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """The program needs numpy only: scipy is blocked from import here."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    layout = str(DATA_DIR / "sample_dense_40.json")
+    eased, repeated = tmp_path / "eased.json", tmp_path / "repeated.json"
+    commands = [
+        ["validate", layout],
+        ["crossings", layout],
+        ["schedule", layout, "--model", "sloweas", "--fps", "5", "-o", str(eased)],
+        ["schedule", layout, "--model", "fastlin", "--horizon", "60000", "--fps", "2",
+         "-o", str(repeated)],
+        ["check", layout, str(eased)],
+        ["check", layout, str(repeated)],
+        ["render", layout, "--schedule", str(eased), "--out", str(tmp_path / "frames")],
+        ["render", layout, "--schedule", str(repeated), "--out", str(tmp_path / "anim"),
+         "--animated"],
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from edgemorph.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'failed: {argv}')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "frames" / "frame_000000.svg").is_file()
+    assert (tmp_path / "anim" / "animation.svg").is_file()

@@ -141,6 +141,37 @@ def test_identity_bezier_matches_linear():
     assert np.max(np.abs(evaluate_many(IDENTITY_BEZIER, grid) - grid)) <= 1e-6
 
 
+#: Zero slope at p = 0 on both axes, so a target of 0 takes the masked sweep.
+EASE_OUT = EasingSpec(CUBIC_KIND, 0.0, 0.0, 0.58, 1.0)
+
+
+def across_axes(solve, read, values):
+    """Oracle: solve one axis polynomial, read the other, pin 0 and 1."""
+    out = np.clip(
+        _cubic(_coefficients(*read), _solve_monotone_cubic(_coefficients(*solve), values)),
+        0.0,
+        1.0,
+    )
+    return np.where(values == 0.0, 0.0, np.where(values == 1.0, 1.0, out))
+
+
+def test_evaluate_and_invert_swap_the_axes():
+    rng = np.random.default_rng(3)
+    specs = [EASE, IDENTITY_BEZIER, EASE_OUT]
+    while len(specs) < 10:
+        x1, y1, x2, y2 = rng.random(4)
+        spec = EasingSpec(CUBIC_KIND, x1, y1, x2, y2)
+        if verify_monotone(spec).passed:
+            specs.append(spec)
+    grid = np.concatenate((np.linspace(0.0, 1.0, 4097), rng.random(4096)))
+    assert np.array_equal(evaluate_many(LINEAR, grid), grid)
+    assert np.array_equal(invert_many(LINEAR, grid), grid)
+    for spec in specs:
+        x, y = (spec.x1, spec.x2), (spec.y1, spec.y2)
+        assert np.array_equal(evaluate_many(spec, grid), across_axes(x, y, grid))
+        assert np.array_equal(invert_many(spec, grid), across_axes(y, x, grid))
+
+
 def masked_newton_solve(coeffs, targets):
     """The solver before its trim: every sweep masks and records its step."""
     a, b, c = coeffs
@@ -168,10 +199,6 @@ def masked_newton_solve(coeffs, targets):
             hi = np.where(below, hi, mid)
         p[unsettled] = 0.5 * (lo + hi)
     return p
-
-
-#: Zero slope at p = 0 on both axes, so a target of 0 takes the masked sweep.
-EASE_OUT = EasingSpec(CUBIC_KIND, 0.0, 0.0, 0.58, 1.0)
 
 
 @pytest.mark.parametrize("spec", [EASE, IDENTITY_BEZIER, EASE_OUT])

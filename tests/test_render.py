@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
@@ -20,13 +21,16 @@ from edgemorph import (
     export_animation,
     frame_timestamps,
     frame_to_svg,
+    parse_layout,
     sample_frame,
     stub_pair,
 )
 from edgemorph.easing import evaluate
 from edgemorph.kinematics import stub_ratio_matrix
+import edgemorph.render as render
 from edgemorph.render import MAX_FRAMES
 from edgemorph.scheduling import sample_ratio_series
+from conftest import DATA_DIR
 from gen_layouts import k4_square
 
 SLOWLIN = PRESETS["slowlin"]
@@ -372,6 +376,40 @@ def test_animated_keyframes_equal_sampled_tips(tmp_path, preset, keep_every_edge
         assert source_y == [f"{s[1]:.3f}" for s, _ in tips]
         assert target_x == [f"{t[0]:.3f}" for _, t in tips]
         assert target_y == [f"{t[1]:.3f}" for _, t in tips]
+
+
+@pytest.mark.parametrize("case", ["slowlin-True", "fasteas-False", "overlapping"])
+def test_frame_blocks_do_not_change_bytes(tmp_path, monkeypatch, case):
+    if case == "overlapping":
+        layout, cfg, schedule = overlapping_schedule()
+    else:
+        preset, keep = case.split("-")
+        layout, cfg, schedule = multi_start_schedule(preset, keep == "True")
+    assert len(frame_timestamps(schedule.makespan, cfg.fps)) > render.FRAME_BLOCK
+    exports = []
+    for block in (1, render.FRAME_BLOCK, 10**9):
+        monkeypatch.setattr(render, "FRAME_BLOCK", block)
+        written = export_animation(layout, cfg, schedule, tmp_path / str(block))
+        exports.append([path.read_bytes() for path in written])
+    assert exports[0] == exports[1] == exports[2]
+
+
+def test_frames_export_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
+    # Holding every frame's tips costs about 205 bytes per edge and frame:
+    # 5.2 MiB for these 214 edges at 120 frames.
+    layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+    schedule = compute_schedule(layout, PRESETS["sloweas"])
+    monkeypatch.setattr(render, "FRAME_BLOCK", 8)
+    for frames in (30, 120):
+        cfg = replace(schedule.config, fps=(frames - 1) * 1000.0 / schedule.makespan)
+        tracemalloc.start()
+        try:
+            written = export_animation(layout, cfg, schedule, tmp_path / str(frames))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(written) == frames
+        assert peak <= 1.5 * 2**20
 
 
 def test_style_rejects_nonpositive_dimensions():

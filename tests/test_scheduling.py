@@ -35,7 +35,7 @@ from edgemorph import (
 import edgemorph.scheduling as scheduling
 from edgemorph.easing import CUBIC_KIND, EASE, LINEAR, EasingSpec, evaluate_many
 from edgemorph.kinematics import EdgeAnimation, ceil_ms
-from edgemorph.scheduling import conflict_constraints, sample_ratio_series
+from edgemorph.scheduling import _window_max, conflict_constraints, sample_ratio_series
 from conftest import DATA_DIR
 from gen_layouts import synth_layout, valid_synth_layout
 
@@ -711,26 +711,28 @@ def test_duplicate_entry_does_not_hide_a_clash():
     assert counts["start-separation"] == 1 and counts["initial-frame"] == 1
 
 
+@pytest.fixture(scope="module")
+def bench_scale():
+    """A synth n=150 `sloweas` schedule, and a copy with a fifth of it shifted."""
+    layout = synth_layout(1, 150, 4, spacing=200, bias=1.5)
+    cfg = PRESETS["sloweas"]
+    schedule = compute_schedule(layout, cfg)
+    rng = random.Random(11)
+    edges = []
+    for se in schedule.edges:
+        if rng.random() < 0.2:
+            se = ScheduledEdge(
+                se.animation,
+                tuple(sorted(max(0.0, ts + rng.uniform(-300.0, 300.0)) for ts in se.starts)),
+            )
+        edges.append(se)
+    makespan = max(ts + se.animation.total for se in edges for ts in se.starts)
+    shifted = replace(schedule, edges=tuple(edges), makespan=makespan)
+    return layout, cfg, schedule, shifted
+
+
 class TestEasingBlocks:
     """Where the validator cuts its easing batches cannot change a report."""
-
-    @pytest.fixture(scope="class")
-    def bench_scale(self):
-        layout = synth_layout(1, 150, 4, spacing=200, bias=1.5)
-        cfg = PRESETS["sloweas"]
-        schedule = compute_schedule(layout, cfg)
-        rng = random.Random(11)
-        edges = []
-        for se in schedule.edges:
-            if rng.random() < 0.2:
-                se = ScheduledEdge(
-                    se.animation,
-                    tuple(sorted(max(0.0, ts + rng.uniform(-300.0, 300.0)) for ts in se.starts)),
-                )
-            edges.append(se)
-        makespan = max(ts + se.animation.total for se in edges for ts in se.starts)
-        shifted = replace(schedule, edges=tuple(edges), makespan=makespan)
-        return layout, cfg, schedule, shifted
 
     def test_block_size_does_not_change_reports(self, bench_scale, monkeypatch):
         layout, cfg, schedule, shifted = bench_scale
@@ -753,6 +755,96 @@ class TestEasingBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 52 * 2**20
+
+
+def scipy_window_max(values, lag, pad):
+    return maximum_filter1d(values, 2 * lag + 1, mode="constant", cval=pad)
+
+
+class TestWindowMax:
+    """The validator's numpy window maximum is scipy's maximum_filter1d."""
+
+    def test_short_series(self):
+        rng = np.random.default_rng(17)
+        pad = SLOWLIN.delta0
+        for n in range(301):
+            eased = rng.uniform(pad, 0.5, n)
+            cases = (
+                np.full(n, pad),
+                np.where(rng.random(n) < 0.9, pad, eased),
+                np.where(rng.random(n) < 0.9, 0.5, eased),
+                np.repeat(rng.choice([pad, 0.5], 1 + n // 8), 8)[:n],
+            )
+            for lag in {0, 1, 2, 3, 5, 8, 31, max(n - 1, 0), n, n + 1, 2 * n + 3}:
+                for values in cases:
+                    got = _window_max(values, lag, pad)
+                    assert np.array_equal(got, scipy_window_max(values, lag, pad)), (n, lag)
+
+    def test_every_series_the_validator_dilates(self, bench_scale, monkeypatch):
+        layout, cfg, schedule, shifted = bench_scale
+        lags = set()
+
+        def compared(values, lag, pad):
+            got = _window_max(values, lag, pad)
+            assert np.array_equal(got, scipy_window_max(values, lag, pad))
+            lags.add(lag)
+            return got
+
+        monkeypatch.setattr(scheduling, "_window_max", compared)
+        for variant in (schedule, shifted):
+            for step_ms in (0.7, 1.0, 2.0):
+                validate_schedule(layout, cfg, variant, step_ms)
+        assert lags == {71, 49, 24}
+
+
+def x_layout():
+    """a-b and c-d cross at both midpoints, 200 px apart on each axis."""
+    return GraphLayout(
+        (
+            NodeSpec("a", 0.0, 0.0),
+            NodeSpec("b", 200.0, 200.0),
+            NodeSpec("c", 0.0, 200.0),
+            NodeSpec("d", 200.0, 0.0),
+        ),
+        (EdgeSpec("a", "b"), EdgeSpec("c", "d")),
+    )
+
+
+class TestZeroDistinctness:
+    """At tau_distinct = 0, coverages of a crossing may touch but not overlap."""
+
+    @pytest.mark.parametrize("tau_distinct", [0.0, 0.5, 50.0])
+    def test_simultaneous_crossing_fails(self, tau_distinct):
+        layout = x_layout()
+        cfg = replace(SLOWLIN, tau_distinct=tau_distinct)
+        anims = [edge_animation(edge, layout, cfg) for edge in layout.edges]
+        schedule = Schedule(
+            config=cfg,
+            edges=tuple(ScheduledEdge(anim, (0.0,)) for anim in anims),
+            makespan=max(anim.total for anim in anims),
+        )
+        report = validate_schedule(layout, cfg, schedule)
+        assert report.violation_counts == (("crossing-separation", 1),)
+
+    @pytest.mark.parametrize("horizon_factor", [None, 2.0])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_computed_schedules_pass(self, cross_layout, preset, horizon_factor):
+        # On the cross layout the second edge starts covering the shared
+        # midpoint at the very sample where the first one stops.
+        layouts = (
+            cross_layout,
+            synth_layout(11, n_nodes=16, density=3.0, spacing=200, bias=1.5),
+            parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes()),
+        )
+        for layout in layouts:
+            cfg = replace(PRESETS[preset], tau_distinct=0.0)
+            if horizon_factor is not None:
+                single = compute_schedule(layout, cfg).makespan
+                cfg = replace(cfg, horizon=horizon_factor * single)
+            schedule = compute_schedule(layout, cfg)
+            for step_ms in (0.5, 0.7, 1.0, 2.0):
+                report = validate_schedule(layout, cfg, schedule, step_ms)
+                assert report.passed, (step_ms, report.violation_counts)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

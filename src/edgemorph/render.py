@@ -9,13 +9,19 @@ decimal places.
 Every path samples stub ratios through
 :func:`~edgemorph.kinematics.stub_ratio_matrix`, on the one stub-ratio kernel
 that the validator samples too, so ``check`` verifies exactly the ratios drawn.
-An export builds the edges x frames ratio matrix and derives all stub tips
-from it with array arithmetic, as :func:`~edgemorph.graph.stub_pair` does:
-frame files in blocks of frames, the animated document in one piece, and
-:func:`sample_frame` as the one-column case. The animated export embeds
-per-stub tip keyframes, sampled at the configured frame rate, as declarative
-animation elements in one self-contained SVG, so linear and cubic easing share
-a single export path.
+:func:`_stub_tips` turns the edges x times ratio matrix into tip coordinate
+arrays with the affine form that :func:`~edgemorph.graph.stub_pair` uses.
+
+Each piece of text has one writer: :func:`_line` writes every edge line,
+:func:`_edge_lines` decides between one full line and two stubs, and
+:func:`_document_ends` writes the root element, background and node disks
+around every document. Frame files are written in blocks of frames straight
+from the tip arrays, with no per-frame objects; :func:`sample_frame` is the
+one-column case and :func:`frame_to_svg` writes its frame through the same
+writers, so both give the same bytes. The animated export embeds per-stub tip
+keyframes, sampled at the configured frame rate, as declarative animation
+elements in one self-contained SVG, so linear and cubic easing share a single
+export path.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,24 +82,14 @@ class FrameGeometry:
     nodes: tuple[NodeSpec, ...]
 
 
-@dataclass(frozen=True)
-class _StubTips:
-    """Stub ratios and both stub tips of every edge at every sampled time.
-
-    Each array is edges x times. Tips use the affine form (1 - r) a + r b, so
-    ratio 1/2 puts both tips on the identical midpoint expression.
-    """
-
-    ratios: np.ndarray
-    source_x: np.ndarray
-    source_y: np.ndarray
-    target_x: np.ndarray
-    target_y: np.ndarray
-
-
 def _stub_tips(
     layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, times: Sequence[float]
-) -> _StubTips:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stub ratios, source tip x and y, target tip x and y: each edges x times.
+
+    Tips use the affine form (1 - r) a + r b, so ratio 1/2 puts both tips on
+    the identical midpoint expression.
+    """
     by_key = schedule.starts_by_key()
     entries = []
     for edge in layout.edges:
@@ -104,36 +100,27 @@ def _stub_tips(
     sx, sy = anchors[:, 0, 0:1], anchors[:, 0, 1:2]
     tx, ty = anchors[:, 1, 0:1], anchors[:, 1, 1:2]
     rest = 1.0 - ratios
-    return _StubTips(
-        ratios=ratios,
-        source_x=rest * sx + ratios * tx,
-        source_y=rest * sy + ratios * ty,
-        target_x=rest * tx + ratios * sx,
-        target_y=rest * ty + ratios * sy,
+    return (
+        ratios,
+        rest * sx + ratios * tx,
+        rest * sy + ratios * ty,
+        rest * tx + ratios * sx,
+        rest * ty + ratios * sy,
     )
-
-
-def _frames(
-    layout: GraphLayout, times: Sequence[float], tips: _StubTips
-) -> Iterator[FrameGeometry]:
-    """One frame per sampled time, read from the tip arrays column by column."""
-    anchors = [layout.endpoints(edge) for edge in layout.edges]
-    arrays = (tips.ratios, tips.source_x, tips.source_y, tips.target_x, tips.target_y)
-    for t, ratios, sx, sy, tx, ty in zip(times, *(a.T.tolist() for a in arrays)):
-        stubs = tuple(
-            StubPair(edge, r, (source, (x1, y1)), (target, (x2, y2)))
-            for edge, (source, target), r, x1, y1, x2, y2 in zip(
-                layout.edges, anchors, ratios, sx, sy, tx, ty
-            )
-        )
-        yield FrameGeometry(timestamp=t, stubs=stubs, nodes=layout.nodes)
 
 
 def sample_frame(
     layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, t: float
 ) -> FrameGeometry:
     """Geometry at an absolute time; edges without a live animation rest."""
-    return next(_frames(layout, [t], _stub_tips(layout, cfg, schedule, [t])))
+    columns = (a[:, 0].tolist() for a in _stub_tips(layout, cfg, schedule, [t]))
+    stubs = tuple(
+        StubPair(edge, r, (source, (x1, y1)), (target, (x2, y2)))
+        for edge, (source, target), r, x1, y1, x2, y2 in zip(
+            layout.edges, map(layout.endpoints, layout.edges), *columns
+        )
+    )
+    return FrameGeometry(timestamp=t, stubs=stubs, nodes=layout.nodes)
 
 
 def _fmt(value: float) -> str:
@@ -150,31 +137,51 @@ def _view_box(nodes: tuple[NodeSpec, ...]) -> tuple[float, float, float, float]:
     return (min_x, min_y, max_x - min_x, max_y - min_y)
 
 
-def _svg_open(nodes: tuple[NodeSpec, ...], background: str) -> list[str]:
+def _document_ends(nodes: tuple[NodeSpec, ...], style: RenderStyle) -> tuple[str, str]:
+    """The text before the body (root element, background) and after it (nodes)."""
     x, y, w, h = _view_box(nodes)
-    return [
+    head = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(x)} {_fmt(y)} {_fmt(w)} {_fmt(h)}">',
+        f'viewBox="{_fmt(x)} {_fmt(y)} {_fmt(w)} {_fmt(h)}">\n'
         f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'fill="{background}"/>',
-    ]
-
-
-def _line(p1: Point, p2: Point, style: RenderStyle) -> str:
-    return (
-        f'<line x1="{_fmt(p1[0])}" y1="{_fmt(p1[1])}" '
-        f'x2="{_fmt(p2[0])}" y2="{_fmt(p2[1])}" '
-        f'stroke="{style.stroke}" stroke-width="{_fmt(style.stroke_width)}"/>'
+        f'fill="{style.background}"/>'
     )
-
-
-def _node_circles(nodes: tuple[NodeSpec, ...], style: RenderStyle) -> list[str]:
-    return [
+    circles = [
         f'<circle cx="{_fmt(n.x)}" cy="{_fmt(n.y)}" r="{_fmt(style.node_radius)}" '
         f'fill="{style.node_fill(n)}" stroke="{style.stroke}" '
         f'stroke-width="{_fmt(style.stroke_width)}"/>'
         for n in nodes
     ]
+    return head, "\n".join([*circles, "</svg>"]) + "\n"
+
+
+def _document(ends: tuple[str, str], body: list[str]) -> str:
+    head, tail = ends
+    return "\n".join([head, *body, tail])
+
+
+def _line(p1: Point, p2: Point, style: RenderStyle, children: str = "") -> str:
+    """One stroked segment; ``children`` (animation elements) go inside it."""
+    line = (
+        f'<line x1="{_fmt(p1[0])}" y1="{_fmt(p1[1])}" '
+        f'x2="{_fmt(p2[0])}" y2="{_fmt(p2[1])}" '
+        f'stroke="{style.stroke}" stroke-width="{_fmt(style.stroke_width)}"'
+    )
+    return f"{line}>{children}</line>" if children else f"{line}/>"
+
+
+def _edge_lines(
+    ratio: float,
+    source: Point,
+    source_tip: Point,
+    target: Point,
+    target_tip: Point,
+    style: RenderStyle,
+) -> str:
+    """A fully drawn edge is one line between its endpoints, a partial one two stubs."""
+    if ratio >= 0.5 - 1e-12:
+        return _line(source, target, style)
+    return f"{_line(source, source_tip, style)}\n{_line(target, target_tip, style)}"
 
 
 def frame_to_svg(
@@ -189,26 +196,19 @@ def frame_to_svg(
     groups get a translucent halo behind their nodes, drawn below everything
     else but the background.
     """
-    parts = _svg_open(frame.nodes, style.background)
-    if regions:
-        by_id = {n.id: n for n in frame.nodes}
-        for region in regions:
-            for node_id in region:
-                node = by_id[node_id]
-                parts.append(
-                    f'<circle cx="{_fmt(node.x)}" cy="{_fmt(node.y)}" '
-                    f'r="{_fmt(style.region_halo_radius)}" fill="{style.region_tint}" '
-                    f'fill-opacity="{_fmt(style.region_tint_opacity)}"/>'
-                )
-    for stub in frame.stubs:
-        if stub.ratio >= 0.5 - 1e-12:
-            parts.append(_line(stub.segment_source[0], stub.segment_target[0], style))
-        else:
-            parts.append(_line(*stub.segment_source, style))
-            parts.append(_line(*stub.segment_target, style))
-    parts.extend(_node_circles(frame.nodes, style))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    by_id = {n.id: n for n in frame.nodes}
+    body = [
+        f'<circle cx="{_fmt(node.x)}" cy="{_fmt(node.y)}" '
+        f'r="{_fmt(style.region_halo_radius)}" fill="{style.region_tint}" '
+        f'fill-opacity="{_fmt(style.region_tint_opacity)}"/>'
+        for region in regions
+        for node in map(by_id.__getitem__, region)
+    ]
+    body += [
+        _edge_lines(s.ratio, *s.segment_source, *s.segment_target, style)
+        for s in frame.stubs
+    ]
+    return _document(_document_ends(frame.nodes, style), body)
 
 
 def frame_timestamps(makespan: float, fps: float) -> list[float]:
@@ -229,43 +229,24 @@ def _animated_svg(
     layout: GraphLayout,
     cfg: AnimationConfig,
     times: list[float],
-    tips: _StubTips,
+    tips: tuple[np.ndarray, ...],
     style: RenderStyle,
 ) -> str:
     duration = times[-1] if times[-1] > 0 else 1000.0 / cfg.fps
+    dur = _fmt(duration)
     key_times = ";".join(f"{t / duration:.6f}" for t in times)
-
-    def animated_line(anchor: Point, xs: list[float], ys: list[float]) -> str:
-        x_values = ";".join(_fmt(x) for x in xs)
-        y_values = ";".join(_fmt(y) for y in ys)
-        return (
-            f'<line x1="{_fmt(anchor[0])}" y1="{_fmt(anchor[1])}" '
-            f'x2="{_fmt(xs[0])}" y2="{_fmt(ys[0])}" '
-            f'stroke="{style.stroke}" stroke-width="{_fmt(style.stroke_width)}">'
-            f'<animate attributeName="x2" dur="{_fmt(duration)}ms" '
-            f'values="{x_values}" keyTimes="{key_times}" calcMode="linear" '
-            'repeatCount="indefinite"/>'
-            f'<animate attributeName="y2" dur="{_fmt(duration)}ms" '
-            f'values="{y_values}" keyTimes="{key_times}" calcMode="linear" '
-            'repeatCount="indefinite"/>'
-            "</line>"
-        )
-
-    parts = _svg_open(layout.nodes, style.background)
-    rows = zip(
-        layout.edges,
-        tips.source_x.tolist(),
-        tips.source_y.tolist(),
-        tips.target_x.tolist(),
-        tips.target_y.tolist(),
-    )
-    for edge, sx, sy, tx, ty in rows:
-        source_anchor, target_anchor = layout.endpoints(edge)
-        parts.append(animated_line(source_anchor, sx, sy))
-        parts.append(animated_line(target_anchor, tx, ty))
-    parts.extend(_node_circles(layout.nodes, style))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    body = []
+    _, *tip_arrays = tips
+    for edge, sx, sy, tx, ty in zip(layout.edges, *(a.tolist() for a in tip_arrays)):
+        for anchor, xs, ys in zip(layout.endpoints(edge), (sx, tx), (sy, ty)):
+            children = "".join(
+                f'<animate attributeName="{name}" dur="{dur}ms" '
+                f'values="{";".join(map(_fmt, values))}" keyTimes="{key_times}" '
+                'calcMode="linear" repeatCount="indefinite"/>'
+                for name, values in (("x2", xs), ("y2", ys))
+            )
+            body.append(_line(anchor, (xs[0], ys[0]), style, children))
+    return _document(_document_ends(layout.nodes, style), body)
 
 
 def export_animation(
@@ -292,12 +273,17 @@ def export_animation(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if frames:
+        ends = _document_ends(layout.nodes, style)
+        anchors = [layout.endpoints(edge) for edge in layout.edges]
         for first in range(0, len(times), FRAME_BLOCK):
-            block = times[first : first + FRAME_BLOCK]
-            tips = _stub_tips(layout, cfg, schedule, block)
-            for k, frame in enumerate(_frames(layout, block, tips), start=first):
+            tips = _stub_tips(layout, cfg, schedule, times[first : first + FRAME_BLOCK])
+            for k, columns in enumerate(zip(*(a.T.tolist() for a in tips)), start=first):
+                body = [
+                    _edge_lines(r, source, (x1, y1), target, (x2, y2), style)
+                    for (source, target), r, x1, y1, x2, y2 in zip(anchors, *columns)
+                ]
                 path = out_dir / f"frame_{k:06d}.svg"
-                path.write_text(frame_to_svg(frame, style), encoding="utf-8")
+                path.write_text(_document(ends, body), encoding="utf-8")
                 written.append(path)
     if animated:
         tips = _stub_tips(layout, cfg, schedule, times)

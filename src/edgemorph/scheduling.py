@@ -398,7 +398,8 @@ def validate_schedule(
         return out
 
     lag = int(np.floor((cfg.tau_distinct - _EPS_MS) / step_ms))
-    margin = max(lag, 0)
+    # A window wider than the grid already covers all of it.
+    margin = min(max(lag, 0), count)
     # key -> (grid index of the first sample, samples of the widened span)
     series: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
     # Entries whose eased samples wait for one easing solve across entries.
@@ -621,7 +622,10 @@ def schedule_from_dict(doc: dict) -> Schedule:
     edges = []
     for entry in entries:
         try:
-            edge = EdgeSpec(str(entry["source"]), str(entry["target"]))
+            source, target = entry["source"], entry["target"]
+            if not isinstance(source, str) or not isinstance(target, str):
+                raise ParseError("schedule edge endpoints must be node id strings")
+            edge = EdgeSpec(source, target)
             tau = json_number(entry["tau_ms"])
             if not isinstance(entry["starts_ms"], list):
                 raise ParseError(

@@ -387,6 +387,47 @@ def test_extreme_schedule_flags_exit_one_in_seconds(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def eased_dense_schedule(tmp_path_factory):
+    path = tmp_path_factory.mktemp("eased") / "e.json"
+    layout = str(DATA_DIR / "sample_dense_40.json")
+    assert main(["schedule", layout, "--model", "sloweas", "-o", str(path)]) == 0
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("tau_distinct_ms", [1e7, 2e9, 1e300])
+def test_huge_distinctness_window_checks_in_seconds(
+    tmp_path, eased_dense_schedule, tau_distinct_ms
+):
+    """A distinctness window wider than the sample grid is checked as one that
+    covers the grid: the same verdict, with no traceback and no hang."""
+    doc = json.loads(json.dumps(eased_dense_schedule))
+    doc["config"]["tau_distinct_ms"] = tau_distinct_ms
+    schedule = tmp_path / "e.json"
+    schedule.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from edgemorph.cli import main; sys.exit(main())",
+            "check",
+            str(DATA_DIR / "sample_dense_40.json"),
+            str(schedule),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stdout.splitlines()[-1].startswith(
+        "failed 522 violations (522 crossing-separation)"
+    )
+
+
 class TestRender:
     def test_frames_directory(self, layout_file, schedule_file, tmp_path, capsys):
         out_dir = tmp_path / "frames"

@@ -185,14 +185,6 @@ class TestExport:
         static = frame_to_svg(sample_frame(cross_layout, SLOWLIN, cross_schedule, 0.0))
         assert written[0].read_text(encoding="utf-8") == static
 
-    def test_exported_frames_match_resampling(self, tmp_path, cross_layout, cross_schedule):
-        written = export_animation(
-            cross_layout, SLOWLIN, cross_schedule, tmp_path / "frames"
-        )
-        for k, t in enumerate(frame_timestamps(cross_schedule.makespan, SLOWLIN.fps)):
-            expected = frame_to_svg(sample_frame(cross_layout, SLOWLIN, cross_schedule, t))
-            assert written[k].read_text(encoding="utf-8") == expected
-
     def test_animated_document(self, tmp_path, cross_layout, cross_schedule):
         written = export_animation(
             cross_layout,
@@ -376,6 +368,29 @@ def test_animated_keyframes_equal_sampled_tips(tmp_path, preset, keep_every_edge
         assert source_y == [f"{s[1]:.3f}" for s, _ in tips]
         assert target_x == [f"{t[0]:.3f}" for _, t in tips]
         assert target_y == [f"{t[1]:.3f}" for _, t in tips]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cross", *KERNEL_CASES, "overlapping"],
+    ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)),
+)
+def test_exported_frames_match_resampling(tmp_path, cross_layout, case):
+    """Every frame file equals the single-frame path at its time: eased,
+    multi-start, missing edges and overlapping starts."""
+    if case == "cross":
+        layout, cfg = cross_layout, SLOWLIN
+        schedule = compute_schedule(layout, cfg)
+    elif case == "overlapping":
+        layout, cfg, schedule = overlapping_schedule()
+    else:
+        layout, cfg, schedule = multi_start_schedule(*case)
+    written = export_animation(layout, cfg, schedule, tmp_path / "frames")
+    times = frame_timestamps(schedule.makespan, cfg.fps)
+    assert len(written) == len(times)
+    for path, t in zip(written, times):
+        expected = frame_to_svg(sample_frame(layout, cfg, schedule, t))
+        assert path.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("case", ["slowlin-True", "fasteas-False", "overlapping"])

@@ -963,6 +963,17 @@ class TestSerialization:
         with pytest.raises(error, match="JSON number|does not fit"):
             parse_schedule(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("source", None), ("source", 1), ("source", ["x"]), ("target", 1)],
+        ids=["source-null", "source-number", "source-array", "target-number"],
+    )
+    def test_endpoints_must_be_node_id_strings(self, sample_schedule_doc, field, value):
+        doc = json.loads(json.dumps(sample_schedule_doc))
+        doc["edges"][0][field] = value
+        with pytest.raises(ParseError, match="node id strings"):
+            parse_schedule(json.dumps(doc))
+
     def test_unsorted_starts_rejected(self, cross_layout):
         doc = schedule_to_dict(
             compute_schedule(cross_layout, replace(SLOWLIN, horizon=9000.0))

@@ -87,6 +87,8 @@ class AnimationConfig:
             raise ConfigError(f"tau_distinct must be >= 0, got {self.tau_distinct}")
         if not self.fps > 0.0:
             raise ConfigError(f"fps must be positive, got {self.fps}")
+        if not math.isfinite(1000.0 / self.fps):
+            raise ConfigError(f"fps {self.fps} gives an infinite frame period")
         if self.horizon is not None and self.horizon <= 0.0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if not self.easing.is_linear:

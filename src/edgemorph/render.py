@@ -9,7 +9,7 @@ decimal places.
 Every path samples stub ratios through
 :func:`~edgemorph.kinematics.stub_ratio_matrix`, on the one stub-ratio kernel
 that the validator samples too, so ``check`` verifies exactly the ratios drawn.
-:func:`_stub_tips` turns the edges x times ratio matrix into tip coordinate
+:func:`_tips` turns the edges x times ratio matrix into tip coordinate
 arrays with the affine form that :func:`~edgemorph.graph.stub_pair` uses.
 
 Each piece of text has one writer: :func:`_line` writes every edge line,
@@ -22,6 +22,13 @@ writers, so both give the same bytes. The animated export embeds per-stub tip
 keyframes, sampled at the configured frame rate, as declarative animation
 elements in one self-contained SVG, so linear and cubic easing share a single
 export path.
+
+Most edge-frames rest at exactly ``cfg.delta0``, and a line's text depends
+only on its edge and ratio. Each export therefore formats every edge's resting
+text once, from :func:`_tips` at ``delta0``, and formats only the edge-frames
+whose ratio differs; :func:`_over_resting` lays those over the resting text,
+so frame bodies start as the resting lines and keyframe lists as the resting
+tips.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .graph import GraphLayout, NodeSpec, Point, StubPair
 from .kinematics import AnimationConfig, stub_ratio_matrix
 from .scheduling import Schedule
@@ -82,26 +89,31 @@ class FrameGeometry:
     nodes: tuple[NodeSpec, ...]
 
 
-def _stub_tips(
+def _stub_ratios(
     layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, times: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stub ratios, source tip x and y, target tip x and y: each edges x times.
-
-    Tips use the affine form (1 - r) a + r b, so ratio 1/2 puts both tips on
-    the identical midpoint expression.
-    """
+) -> np.ndarray:
+    """Stub ratios, edges x times; edges without a live animation rest."""
     by_key = schedule.starts_by_key()
     entries = []
     for edge in layout.edges:
         scheduled = by_key.get(edge.key)
         entries.append(None if scheduled is None else (scheduled.animation, scheduled.starts))
-    ratios = stub_ratio_matrix(cfg, entries, times)
+    return stub_ratio_matrix(cfg, entries, times)
+
+
+def _tips(
+    layout: GraphLayout, ratios: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Source tip x and y, target tip x and y, each shaped like ``ratios``.
+
+    Tips use the affine form (1 - r) a + r b, so ratio 1/2 puts both tips on
+    the identical midpoint expression.
+    """
     anchors = np.array([layout.endpoints(edge) for edge in layout.edges]).reshape(-1, 2, 2)
     sx, sy = anchors[:, 0, 0:1], anchors[:, 0, 1:2]
     tx, ty = anchors[:, 1, 0:1], anchors[:, 1, 1:2]
     rest = 1.0 - ratios
     return (
-        ratios,
         rest * sx + ratios * tx,
         rest * sy + ratios * ty,
         rest * tx + ratios * sx,
@@ -109,11 +121,27 @@ def _stub_tips(
     )
 
 
+def _resting_tips(layout: GraphLayout, cfg: AnimationConfig) -> list[list[float]]:
+    """Each edge's source and target tips at ``cfg.delta0``: rows of (x1, y1, x2, y2)."""
+    resting = np.full((len(layout.edges), 1), cfg.delta0)
+    return np.hstack(_tips(layout, resting)).tolist()
+
+
+def _over_resting(resting: list[str], moving: np.ndarray, texts: list[str]) -> np.ndarray:
+    """Edges x times text: each row its edge's resting text, with ``texts``
+    in the ``moving`` cells (in row-major order)."""
+    grid = np.empty(moving.shape, dtype=object)
+    grid[:] = np.array(resting, dtype=object)[:, None]
+    grid[moving] = texts
+    return grid
+
+
 def sample_frame(
     layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, t: float
 ) -> FrameGeometry:
     """Geometry at an absolute time; edges without a live animation rest."""
-    columns = (a[:, 0].tolist() for a in _stub_tips(layout, cfg, schedule, [t]))
+    ratios = _stub_ratios(layout, cfg, schedule, [t])
+    columns = (a[:, 0].tolist() for a in (ratios, *_tips(layout, ratios)))
     stubs = tuple(
         StubPair(edge, r, (source, (x1, y1)), (target, (x2, y2)))
         for edge, (source, target), r, x1, y1, x2, y2 in zip(
@@ -194,9 +222,13 @@ def frame_to_svg(
     A fully drawn edge collapses to a single line spanning its endpoints; any
     partial ratio draws the two stubs separately. Optional region node-id
     groups get a translucent halo behind their nodes, drawn below everything
-    else but the background.
+    else but the background; a region id that names no node of the frame
+    raises UsageError.
     """
     by_id = {n.id: n for n in frame.nodes}
+    unknown = sorted({i for region in regions for i in region} - by_id.keys())
+    if unknown:
+        raise UsageError(f"regions name nodes not in the frame: {unknown}")
     body = [
         f'<circle cx="{_fmt(node.x)}" cy="{_fmt(node.y)}" '
         f'r="{_fmt(style.region_halo_radius)}" fill="{style.region_tint}" '
@@ -229,23 +261,31 @@ def _animated_svg(
     layout: GraphLayout,
     cfg: AnimationConfig,
     times: list[float],
-    tips: tuple[np.ndarray, ...],
+    ratios: np.ndarray,
     style: RenderStyle,
 ) -> str:
     duration = times[-1] if times[-1] > 0 else 1000.0 / cfg.fps
     dur = _fmt(duration)
     key_times = ";".join(f"{t / duration:.6f}" for t in times)
+    tips = _tips(layout, ratios)
+    firsts = np.hstack([a[:, :1] for a in tips]).tolist()
+    moving = ratios != cfg.delta0
+    keyframes = []
+    for a, rest in zip(tips, zip(*_resting_tips(layout, cfg))):
+        text = _over_resting(list(map(_fmt, rest)), moving, list(map(_fmt, a[moving].tolist())))
+        keyframes.append(map(";".join, text.tolist()))
     body = []
-    _, *tip_arrays = tips
-    for edge, sx, sy, tx, ty in zip(layout.edges, *(a.tolist() for a in tip_arrays)):
-        for anchor, xs, ys in zip(layout.endpoints(edge), (sx, tx), (sy, ty)):
+    for edge, first, *values in zip(layout.edges, firsts, *keyframes):
+        for anchor, x2, y2, xs, ys in zip(
+            layout.endpoints(edge), first[0::2], first[1::2], values[0::2], values[1::2]
+        ):
             children = "".join(
                 f'<animate attributeName="{name}" dur="{dur}ms" '
-                f'values="{";".join(map(_fmt, values))}" keyTimes="{key_times}" '
+                f'values="{column}" keyTimes="{key_times}" '
                 'calcMode="linear" repeatCount="indefinite"/>'
-                for name, values in (("x2", xs), ("y2", ys))
+                for name, column in (("x2", xs), ("y2", ys))
             )
-            body.append(_line(anchor, (xs[0], ys[0]), style, children))
+            body.append(_line(anchor, (x2, y2), style, children))
     return _document(_document_ends(layout.nodes, style), body)
 
 
@@ -275,19 +315,27 @@ def export_animation(
     if frames:
         ends = _document_ends(layout.nodes, style)
         anchors = [layout.endpoints(edge) for edge in layout.edges]
+        resting = [
+            _edge_lines(cfg.delta0, source, (x1, y1), target, (x2, y2), style)
+            for (source, target), (x1, y1, x2, y2) in zip(anchors, _resting_tips(layout, cfg))
+        ]
         for first in range(0, len(times), FRAME_BLOCK):
-            tips = _stub_tips(layout, cfg, schedule, times[first : first + FRAME_BLOCK])
-            for k, columns in enumerate(zip(*(a.T.tolist() for a in tips)), start=first):
-                body = [
-                    _edge_lines(r, source, (x1, y1), target, (x2, y2), style)
-                    for (source, target), r, x1, y1, x2, y2 in zip(anchors, *columns)
-                ]
+            ratios = _stub_ratios(layout, cfg, schedule, times[first : first + FRAME_BLOCK])
+            moving = ratios != cfg.delta0
+            arrays = (ratios, *_tips(layout, ratios))
+            cells = zip(np.nonzero(moving)[0].tolist(), *(a[moving].tolist() for a in arrays))
+            texts = [
+                _edge_lines(r, anchors[i][0], (x1, y1), anchors[i][1], (x2, y2), style)
+                for i, r, x1, y1, x2, y2 in cells
+            ]
+            lines = _over_resting(resting, moving, texts)
+            for k, body in enumerate(lines.T.tolist(), start=first):
                 path = out_dir / f"frame_{k:06d}.svg"
                 path.write_text(_document(ends, body), encoding="utf-8")
                 written.append(path)
     if animated:
-        tips = _stub_tips(layout, cfg, schedule, times)
+        ratios = _stub_ratios(layout, cfg, schedule, times)
         path = out_dir / "animation.svg"
-        path.write_text(_animated_svg(layout, cfg, times, tips, style), encoding="utf-8")
+        path.write_text(_animated_svg(layout, cfg, times, ratios, style), encoding="utf-8")
         written.append(path)
     return written

@@ -523,6 +523,42 @@ class TestRender:
             err = capsys.readouterr().err
             assert "frames" in err and "Traceback" not in err
 
+    def test_fps_with_infinite_frame_period_is_domain_error(
+        self, layout_file, schedule_file, tmp_path, capsys
+    ):
+        # 1000 / 5e-324 overflows to inf: the frame times and the animation's
+        # duration would be inf. 1e-9 fps is a finite, if long, frame period.
+        doc = json.loads(schedule_file.read_text(encoding="utf-8"))
+        for fps, verdict in ((5e-324, 1), (1e-9, 0)):
+            doc["config"]["fps"] = fps
+            path = tmp_path / f"fps_{fps}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out_dir = tmp_path / f"out_{fps}"
+            capsys.readouterr()
+            for argv in (
+                ["check", str(layout_file), str(path)],
+                ["render", str(layout_file), "--schedule", str(path), "--out", str(out_dir)],
+                [
+                    "render",
+                    str(layout_file),
+                    "--schedule",
+                    str(path),
+                    "--out",
+                    str(out_dir),
+                    "--animated",
+                ],
+            ):
+                assert main(argv) == verdict
+                err = capsys.readouterr().err
+                assert "Traceback" not in err
+                if verdict:
+                    assert err.startswith("error: ") and "fps" in err
+            if verdict:
+                assert not out_dir.exists()
+            else:
+                text = (out_dir / "animation.svg").read_text(encoding="utf-8")
+                assert "inf" not in text and "nan" not in text
+
     @pytest.mark.parametrize(
         "field, value",
         [("starts_ms", float("nan")), ("starts_ms", float("inf")), ("tau_ms", 1e308)],

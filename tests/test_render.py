@@ -17,6 +17,7 @@ from edgemorph import (
     PRESETS,
     RenderStyle,
     Schedule,
+    UsageError,
     compute_schedule,
     export_animation,
     frame_timestamps,
@@ -149,6 +150,12 @@ class TestFrameToSvg:
         frame = sample_frame(k4_layout, SLOWLIN, schedule, 0.0)
         svg = frame_to_svg(frame, regions=(("p", "q"), ("r",)))
         assert svg.count('fill="#ffd54d"') == 3
+
+    def test_region_with_unknown_node_is_usage_error(self, k4_layout):
+        schedule = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
+        frame = sample_frame(k4_layout, SLOWLIN, schedule, 0.0)
+        with pytest.raises(UsageError, match="nope"):
+            frame_to_svg(frame, regions=(("p",), ("q", "nope")))
 
     def test_stub_union_covers_segment_at_half(self, cross_layout, cross_schedule):
         frame = sample_frame(cross_layout, SLOWLIN, cross_schedule, 1050.0)
@@ -349,42 +356,82 @@ def test_matrix_rows_equal_validator_series(case):
             assert np.array_equal(row, series)
 
 
-@pytest.mark.parametrize("preset, keep_every_edge", KERNEL_CASES)
-def test_animated_keyframes_equal_sampled_tips(tmp_path, preset, keep_every_edge):
-    layout, cfg, schedule = multi_start_schedule(preset, keep_every_edge)
+SAMPLE_CASES = ["sample-sloweas", "sample-fastlin-h60s"]
+
+
+def sample_schedule(case):
+    """The sample layout at a low frame rate: most edge-frames rest at delta0,
+    and under the 60 s horizon edges restart."""
+    layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+    if case == "sample-sloweas":
+        cfg = replace(PRESETS["sloweas"], fps=20.0)
+    else:
+        cfg = replace(PRESETS["fastlin"], fps=4.0, horizon=60_000.0)
+    schedule = compute_schedule(layout, cfg)
+    by_key = schedule.starts_by_key()
+    entries = [(by_key[e.key].animation, by_key[e.key].starts) for e in layout.edges]
+    times = frame_timestamps(schedule.makespan, cfg.fps)
+    resting = stub_ratio_matrix(cfg, entries, times) == cfg.delta0
+    assert 0.5 < resting.mean() < 1.0
+    if cfg.horizon is not None:
+        assert max(len(se.starts) for se in schedule.edges) >= 2
+    return layout, cfg, schedule
+
+
+def case_schedule(case):
+    if case == "overlapping":
+        return overlapping_schedule()
+    if case in SAMPLE_CASES:
+        return sample_schedule(case)
+    return multi_start_schedule(*case)
+
+
+def case_id(case):
+    return case if isinstance(case, str) else "-".join(map(str, case))
+
+
+_ANIMATED_STUB = re.compile(
+    r'<line x1="[^"]*" y1="[^"]*" x2="([^"]*)" y2="([^"]*)"[^>]*>'
+    r'<animate attributeName="x2"[^>]*? values="([^"]*)"[^>]*/>'
+    r'<animate attributeName="y2"[^>]*? values="([^"]*)"'
+)
+
+
+@pytest.mark.parametrize("case", [*KERNEL_CASES, *SAMPLE_CASES], ids=case_id)
+def test_animated_keyframes_equal_sampled_tips(tmp_path, case):
+    layout, cfg, schedule = case_schedule(case)
     (path,) = export_animation(layout, cfg, schedule, tmp_path, frames=False, animated=True)
-    values = re.findall(r'values="([^"]*)"', path.read_text(encoding="utf-8"))
+    stubs = _ANIMATED_STUB.findall(path.read_text(encoding="utf-8"))
     times = frame_timestamps(schedule.makespan, cfg.fps)
     frames = [sample_frame(layout, cfg, schedule, t) for t in times]
-    assert len(values) == 4 * len(layout.edges)
+    assert len(stubs) == 2 * len(layout.edges)
     for i in range(len(layout.edges)):
         tips = [
             (f.stubs[i].segment_source[1], f.stubs[i].segment_target[1]) for f in frames
         ]
-        source_x, source_y, target_x, target_y = (
-            v.split(";") for v in values[4 * i : 4 * i + 4]
+        (x1, y1, source_x, source_y), (x2, y2, target_x, target_y) = (
+            (x, y, xs.split(";"), ys.split(";")) for x, y, xs, ys in stubs[2 * i : 2 * i + 2]
         )
         assert source_x == [f"{s[0]:.3f}" for s, _ in tips]
         assert source_y == [f"{s[1]:.3f}" for s, _ in tips]
         assert target_x == [f"{t[0]:.3f}" for _, t in tips]
         assert target_y == [f"{t[1]:.3f}" for _, t in tips]
+        # the static tip is the first keyframe
+        assert (x1, y1, x2, y2) == (source_x[0], source_y[0], target_x[0], target_y[0])
 
 
 @pytest.mark.parametrize(
-    "case",
-    ["cross", *KERNEL_CASES, "overlapping"],
-    ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)),
+    "case", ["cross", *KERNEL_CASES, "overlapping", *SAMPLE_CASES], ids=case_id
 )
 def test_exported_frames_match_resampling(tmp_path, cross_layout, case):
     """Every frame file equals the single-frame path at its time: eased,
-    multi-start, missing edges and overlapping starts."""
+    multi-start, missing edges, overlapping starts, and the sample layout,
+    where most edge-frames rest."""
     if case == "cross":
         layout, cfg = cross_layout, SLOWLIN
         schedule = compute_schedule(layout, cfg)
-    elif case == "overlapping":
-        layout, cfg, schedule = overlapping_schedule()
     else:
-        layout, cfg, schedule = multi_start_schedule(*case)
+        layout, cfg, schedule = case_schedule(case)
     written = export_animation(layout, cfg, schedule, tmp_path / "frames")
     times = frame_timestamps(schedule.makespan, cfg.fps)
     assert len(written) == len(times)

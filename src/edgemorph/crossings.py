@@ -13,7 +13,9 @@ only intersection is the shared node, where stubs legitimately meet.
 runs the same arithmetic, in the same operation order, over every touching
 pair at once as numpy arrays, so its points and ratios equal the scalar
 ones bit for bit; only pairs under the parallel bound go through the scalar
-collinearity test that layout validation uses.
+collinearity test that layout validation uses. Scheduling and the validator
+read the scan's columns, with edges as indices into ``layout.edges``;
+:func:`find_avoidable_crossings` is their public view as objects.
 """
 
 from __future__ import annotations
@@ -86,11 +88,10 @@ def segment_intersection(
     return point, t, u
 
 
-def find_avoidable_crossings(
-    layout: GraphLayout, delta0: float
-) -> tuple[AvoidableCrossing, ...]:
-    """All avoidable crossings of a layout, ordered by edge id pairs.
+def _crossing_table(layout: GraphLayout, delta0: float) -> tuple[np.ndarray, ...]:
+    """The avoidable crossings as columns (a, b, px, py, ratio_a, ratio_b).
 
+    a and b index ``layout.edges``; rows are ordered by edge id pairs.
     Scans the edge pairs whose bounding boxes touch (the segment-pair pass
     that layout validation uses too; adjacent pairs skipped) and keeps proper
     crossings whose nearer-endpoint distance exceeds delta0 on both edges.
@@ -137,8 +138,15 @@ def find_avoidable_crossings(
     a, b = np.where(swap, j, i), np.where(swap, i, j)
     ratio_a, ratio_b = np.where(swap, u, t), np.where(swap, t, u)
     order = np.lexsort((rank[b], rank[a]))
-    columns = (a, b, px, py, ratio_a, ratio_b)
+    return tuple(column[order] for column in (a, b, px, py, ratio_a, ratio_b))
+
+
+def find_avoidable_crossings(
+    layout: GraphLayout, delta0: float
+) -> tuple[AvoidableCrossing, ...]:
+    """All avoidable crossings of a layout, ordered by edge id pairs."""
+    columns = (column.tolist() for column in _crossing_table(layout, delta0))
     return tuple(
-        AvoidableCrossing(edges[p], edges[q], (x, y), ta, tb)
-        for p, q, x, y, ta, tb in zip(*(column[order].tolist() for column in columns))
+        AvoidableCrossing(layout.edges[p], layout.edges[q], (x, y), ta, tb)
+        for p, q, x, y, ta, tb in zip(*columns)
     )

@@ -247,14 +247,15 @@ def frame_timestamps(makespan: float, fps: float) -> list[float]:
     """Sampling times k * 1000 / fps ms for k = 0 .. ceil(makespan * fps / 1000).
 
     The last frame lands at or just past the makespan, capturing the final
-    resting state. More than :data:`MAX_FRAMES` frames raise ConfigError.
+    resting state; frame 0 is always there, even when every animation ends
+    before time 0. More than :data:`MAX_FRAMES` frames raise ConfigError.
     """
     span = makespan * fps / 1000.0
     if not span <= MAX_FRAMES - 1:
         raise ConfigError(
             f"{makespan:.3f} ms at {fps} fps needs more than {MAX_FRAMES} frames"
         )
-    return [k * 1000.0 / fps for k in range(math.ceil(span) + 1)]
+    return [k * 1000.0 / fps for k in range(max(math.ceil(span), 0) + 1)]
 
 
 def _animated_svg(

@@ -9,12 +9,13 @@ time is feasible. When a schedule horizon is set, further animations of each
 edge are appended pass by pass for as long as they fit (each at least one
 full animation plus the distinctness time after the previous one).
 
-Each edge keeps one sorted list of its forbidden start windows, extended as
-its crossing partners gain starts, and the earliest-feasible search bisects
-into that list just below the candidate instead of rebuilding it. Because
-windows only accumulate, an edge whose next animation overruns the horizon
-could never fit later: it is retired, and the repeat passes end when no edge
-is left.
+Edges are indices into ``layout.edges`` and crossings rows of the scan's
+table; edge keys appear only in the results. Each edge keeps one sorted list
+of its forbidden start windows, extended as its crossing partners gain
+starts, and the earliest-feasible search bisects into that list just below
+the candidate instead of rebuilding it. Because windows only accumulate, an
+edge whose next animation overruns the horizon could never fit later: it is
+retired, and the repeat passes end when no edge is left.
 
 The first pass always places every edge once and every start is at or after
 time zero, so the frame at time zero shows the resting drawing.
@@ -48,7 +49,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .crossings import find_avoidable_crossings
+from .crossings import _crossing_table
 from .easing import evaluate_many, invert_many
 from .errors import ConfigError, ParseError, RangeError, UsageError
 from .graph import EdgeSpec, GraphLayout, json_number, json_object
@@ -113,30 +114,19 @@ def forbidden_start_window(
 
 
 def conflict_constraints(
-    layout: GraphLayout,
-    cfg: AnimationConfig,
-    animations: dict[tuple[str, str], EdgeAnimation],
-) -> tuple[tuple[tuple[str, str], tuple[str, str], float, float], ...]:
-    """(edge_a key, edge_b key, reach_a, reach_b) for every avoidable crossing.
+    layout: GraphLayout, cfg: AnimationConfig, taus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (a, b, reach_a, reach_b), one row per avoidable crossing.
 
-    A reach is the time from an edge's start until its stub covers the
-    crossing point; all of them go through the easing in one batch.
+    a and b index ``layout.edges``, and taus holds each edge's morph duration
+    in that order. A reach is the time from an edge's start until its stub
+    covers the crossing point; all of them go through the easing in one batch.
     """
-    crossings = find_avoidable_crossings(layout, cfg.delta0)
-    if not crossings:
-        return ()
-    ratios = np.array([(c.ratio_a, c.ratio_b) for c in crossings])
+    a, b, _, _, ratio_a, ratio_b = _crossing_table(layout, cfg.delta0)
+    ratios = np.stack([ratio_a, ratio_b], axis=1)
     nearer = np.minimum(ratios, 1.0 - ratios)
-    fracs = invert_many(cfg.easing, (nearer - cfg.delta0) / cfg.ratio_span).tolist()
-    return tuple(
-        (
-            crossing.edge_a.key,
-            crossing.edge_b.key,
-            animations[crossing.edge_a.key].tau * frac_a,
-            animations[crossing.edge_b.key].tau * frac_b,
-        )
-        for crossing, (frac_a, frac_b) in zip(crossings, fracs)
-    )
+    fracs = invert_many(cfg.easing, (nearer - cfg.delta0) / cfg.ratio_span)
+    return a, b, taus[a] * fracs[:, 0], taus[b] * fracs[:, 1]
 
 
 def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
@@ -147,43 +137,42 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     horizon is too short for even a single animation of every edge, or so
     long that the schedule would hold more than :data:`MAX_STARTS` starts.
     """
-    animations = {e.key: edge_animation(e, layout, cfg) for e in layout.edges}
-    partners: dict[tuple[str, str], list[tuple[tuple[str, str], float, float]]] = {
-        key: [] for key in animations
-    }
-    for key_a, key_b, reach_a, reach_b in conflict_constraints(layout, cfg, animations):
-        partners[key_a].append((key_b, reach_a, reach_b))
-        partners[key_b].append((key_a, reach_b, reach_a))
+    edges = layout.edges
+    animations = [edge_animation(e, layout, cfg) for e in edges]
+    totals = [anim.total for anim in animations]
+    partners: list[list[tuple[int, float, float]]] = [[] for _ in edges]
+    taus = np.array([anim.tau for anim in animations])
+    columns = (column.tolist() for column in conflict_constraints(layout, cfg, taus))
+    for a, b, reach_a, reach_b in zip(*columns):
+        partners[a].append((b, reach_a, reach_b))
+        partners[b].append((a, reach_b, reach_a))
 
     # No forbidden window of an edge is longer than its span (reaches lie in
     # [0, tau]). The 1 ms here and the relative 1e-9 in the search absorb
     # float noise in the window ends at any time scale.
-    spans = {
-        key: animations[key].total
-        + max((animations[other].total for other, _, _ in partners[key]), default=0.0)
+    spans = [
+        total
+        + max((totals[other] for other, _, _ in group), default=0.0)
         + 2.0 * cfg.tau_distinct
         + 1.0
-        for key in animations
-    }
-    order = sorted(animations, key=lambda k: (-animations[k].tau, k))
-    starts: dict[tuple[str, str], list[float]] = {key: [] for key in animations}
-    windows: dict[tuple[str, str], list[tuple[float, float]]] = {
-        key: [] for key in animations
-    }
+        for total, group in zip(totals, partners)
+    ]
+    order = sorted(range(len(edges)), key=lambda k: (-animations[k].tau, edges[k].key))
+    starts: list[list[float]] = [[] for _ in edges]
+    windows: list[list[tuple[float, float]]] = [[] for _ in edges]
 
-    def place(key: tuple[str, str], ts: float) -> None:
-        starts[key].append(ts)
-        total = animations[key].total
-        for other, reach_self, reach_other in partners[key]:
-            occupancy = (ts + reach_self, ts + total - reach_self)
+    def place(k: int, ts: float) -> None:
+        starts[k].append(ts)
+        for other, reach_self, reach_other in partners[k]:
+            occupancy = (ts + reach_self, ts + totals[k] - reach_self)
             insort(
                 windows[other],
                 forbidden_start_window(
-                    reach_other, animations[other].total, occupancy, cfg.tau_distinct
+                    reach_other, totals[other], occupancy, cfg.tau_distinct
                 ),
             )
 
-    def earliest_feasible(key: tuple[str, str], base: float) -> float:
+    def earliest_feasible(k: int, base: float) -> float:
         """Smallest microsecond-grid time >= base outside all open windows.
 
         Windows are swept in sorted order. Those starting more than a span
@@ -191,8 +180,8 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
         the result is the one a sweep over every window gives.
         """
         c = ceil_ms(max(base, 0.0))
-        wins = windows[key]
-        i = bisect_left(wins, (c - spans[key] - 1e-9 * c,))
+        wins = windows[k]
+        i = bisect_left(wins, (c - spans[k] - 1e-9 * c,))
         while i < len(wins):
             lo, hi = wins[i]
             if c <= lo:
@@ -202,13 +191,11 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
             i += 1
         return c
 
-    for key in order:
-        place(key, earliest_feasible(key, 0.0))
+    for k in order:
+        place(k, earliest_feasible(k, 0.0))
 
     if cfg.horizon is not None:
-        first_pass_end = max(
-            (starts[key][0] + animations[key].total for key in order), default=0.0
-        )
+        first_pass_end = max((starts[k][0] + totals[k] for k in order), default=0.0)
         if first_pass_end > cfg.horizon + _EPS_MS:
             raise ConfigError(
                 f"horizon {cfg.horizon} ms cannot fit one animation of every "
@@ -220,12 +207,12 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
         active, count = order, len(order)
         while active:
             placed = []
-            for key in active:
-                base = starts[key][-1] + animations[key].total + cfg.tau_distinct
-                candidate = earliest_feasible(key, base)
-                if candidate + animations[key].total <= cfg.horizon + _EPS_MS:
-                    place(key, candidate)
-                    placed.append(key)
+            for k in active:
+                base = starts[k][-1] + totals[k] + cfg.tau_distinct
+                candidate = earliest_feasible(k, base)
+                if candidate + totals[k] <= cfg.horizon + _EPS_MS:
+                    place(k, candidate)
+                    placed.append(k)
             active, count = placed, count + len(placed)
             if count > MAX_STARTS:
                 raise ConfigError(
@@ -233,8 +220,8 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
                 )
 
     scheduled = tuple(
-        ScheduledEdge(animations[key], tuple(starts[key]))
-        for key in sorted(animations)
+        ScheduledEdge(animations[k], tuple(starts[k]))
+        for k in sorted(range(len(edges)), key=lambda k: edges[k].key)
     )
     makespan = max(
         (ts + se.animation.total for se in scheduled for ts in se.starts),
@@ -345,7 +332,6 @@ def validate_schedule(
     """
     if not 0.0 < step_ms < math.inf:
         raise RangeError(f"validator step {step_ms} ms is not a positive finite number")
-    by_key = schedule.starts_by_key()
     end = schedule.makespan
     for se in schedule.edges:
         for ts in se.starts:
@@ -458,14 +444,18 @@ def validate_schedule(
             dilated[key] = (first, _window_max(values, margin, cfg.delta0))
         return dilated[key]
 
-    for crossing in find_avoidable_crossings(layout, cfg.delta0):
-        key_a, key_b = crossing.edge_a.key, crossing.edge_b.key
-        if key_a not in by_key or key_b not in by_key:
+    a, b, px, py, *ratios = _crossing_table(layout, cfg.delta0)
+    nearer = [np.minimum(r, 1.0 - r) for r in ratios]
+    # The resting ratio already covers these points: check the whole grid.
+    whole = np.minimum(*nearer) - _EPS_RATIO <= cfg.delta0
+    keys = [edge.key for edge in layout.edges]
+    columns = (c.tolist() for c in (a, b, px, py, *nearer, whole))
+    for p, q, x, y, nearer_a, nearer_b, everywhere in zip(*columns):
+        key_a, key_b = keys[p], keys[q]
+        if key_a not in series or key_b not in series:
             continue
-        nearer_a = min(crossing.ratio_a, 1.0 - crossing.ratio_a)
-        nearer_b = min(crossing.ratio_b, 1.0 - crossing.ratio_b)
         (first_a, values_a), (first_b, dilated_b) = series[key_a], dilate(key_b)
-        if min(nearer_a, nearer_b) - _EPS_RATIO <= cfg.delta0:
+        if everywhere:
             lo, hi = 0, count
         else:
             lo = max(first_a, first_b)
@@ -484,8 +474,7 @@ def validate_schedule(
                 "crossing-separation",
                 float(times[i]),
                 (key_a, key_b),
-                f"both within {cfg.tau_distinct} ms of crossing "
-                f"({crossing.point[0]:.3f}, {crossing.point[1]:.3f})",
+                f"both within {cfg.tau_distinct} ms of crossing ({x:.3f}, {y:.3f})",
             )
 
     return ScheduleReport(

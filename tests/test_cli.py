@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -558,6 +559,31 @@ class TestRender:
             else:
                 text = (out_dir / "animation.svg").read_text(encoding="utf-8")
                 assert "inf" not in text and "nan" not in text
+
+    def test_schedule_ending_before_time_zero_renders_frame_zero(
+        self, tmp_path, capsys
+    ):
+        # Every animation ends before 0, so the makespan is negative: check
+        # lists the negative starts, and render still draws frame 0 at rest.
+        layout_path = str(DATA_DIR / "sample_dense_40.json")
+        layout = parse_layout(DATA_DIR.joinpath("sample_dense_40.json").read_bytes())
+        doc = schedule_to_dict(compute_schedule(layout, PRESETS["fastlin"]))
+        for entry in doc["edges"]:
+            entry["starts_ms"] = [ts - 1e6 for ts in entry["starts_ms"]]
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", layout_path, str(path)]) == 1
+        assert "start-separation" in capsys.readouterr().out
+        render = ["render", layout_path, "--schedule", str(path), "--out"]
+        assert main([*render, str(tmp_path / "frames")]) == 0
+        assert [p.name for p in (tmp_path / "frames").iterdir()] == ["frame_000000.svg"]
+        assert main([*render, str(tmp_path / "anim"), "--animated"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        text = (tmp_path / "anim" / "animation.svg").read_text(encoding="utf-8")
+        values = re.findall(r'values="([^"]*)"', text)
+        assert len(values) == 2 * 2 * len(layout.edges)
+        assert all(";" not in v for v in values)
+        assert set(re.findall(r'keyTimes="([^"]*)"', text)) == {"0.000000"}
 
     @pytest.mark.parametrize(
         "field, value",

@@ -33,7 +33,7 @@ from edgemorph import (
     validate_schedule,
 )
 import edgemorph.scheduling as scheduling
-from edgemorph.easing import CUBIC_KIND, EASE, LINEAR, EasingSpec, evaluate_many
+from edgemorph.easing import CUBIC_KIND, EASE, LINEAR, EasingSpec, evaluate_many, invert
 from edgemorph.kinematics import EdgeAnimation, ceil_ms
 from edgemorph.scheduling import _window_max, conflict_constraints, sample_ratio_series
 from conftest import DATA_DIR
@@ -163,14 +163,30 @@ class TestComputeSchedule:
         assert fast <= slow
 
 
+def scalar_constraints(layout, cfg):
+    """(key_a, key_b, reach_a, reach_b) per crossing object, one inversion each."""
+    taus = {e.key: edge_animation(e, layout, cfg).tau for e in layout.edges}
+
+    def reach(edge, ratio):
+        progress = (min(ratio, 1.0 - ratio) - cfg.delta0) / cfg.ratio_span
+        return taus[edge.key] * invert(cfg.easing, progress)
+
+    return [
+        (c.edge_a.key, c.edge_b.key, reach(c.edge_a, c.ratio_a), reach(c.edge_b, c.ratio_b))
+        for c in find_avoidable_crossings(layout, cfg.delta0)
+    ]
+
+
 def quadratic_schedule(layout, cfg):
     """Reference placement: every search rebuilds and sorts every partner window.
 
-    Repeat passes retry every edge until a whole pass places nothing.
+    Repeat passes retry every edge until a whole pass places nothing. The
+    reaches come from the crossing objects one at a time, not from
+    :func:`conflict_constraints`.
     """
     animations = {e.key: edge_animation(e, layout, cfg) for e in layout.edges}
     partners = {key: [] for key in animations}
-    for key_a, key_b, reach_a, reach_b in conflict_constraints(layout, cfg, animations):
+    for key_a, key_b, reach_a, reach_b in scalar_constraints(layout, cfg):
         partners[key_a].append((key_b, reach_a, reach_b))
         partners[key_b].append((key_a, reach_b, reach_a))
     order = sorted(animations, key=lambda k: (-animations[k].tau, k))
@@ -249,9 +265,7 @@ class TestQuadraticOracle:
         # window; the window is open, so that instant is feasible.
         anim_ab = edge_animation(("a", "b"), cross_layout, SLOWLIN)
         anim_cd = edge_animation(("c", "d"), cross_layout, SLOWLIN)
-        (_, _, reach_ab, reach_cd), = conflict_constraints(
-            cross_layout, SLOWLIN, {("a", "b"): anim_ab, ("c", "d"): anim_cd}
-        )
+        ((_, _, reach_ab, reach_cd),) = scalar_constraints(cross_layout, SLOWLIN)
         occupancy = (0.0 + reach_ab, 0.0 + anim_ab.total - reach_ab)
         _, hi = forbidden_start_window(
             reach_cd, anim_cd.total, occupancy, SLOWLIN.tau_distinct
@@ -281,6 +295,34 @@ class TestQuadraticOracle:
             single = compute_schedule(layout, cfg).makespan
             cfg = replace(cfg, horizon=rng.uniform(1.0, 2.5) * single)
             assert compute_schedule(layout, cfg) == quadratic_schedule(layout, cfg)
+
+
+class TestConflictConstraints:
+    """The table's reaches are the per-crossing scalar ones, bit for bit."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("name", ["sample", "synth_n150"])
+    def test_columns_equal_scalar_reaches(self, name, preset):
+        if name == "sample":
+            layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        else:
+            layout = synth_layout(1, 150, 4, spacing=200, bias=1.5)
+        cfg = PRESETS[preset]
+        taus = np.array([edge_animation(e, layout, cfg).tau for e in layout.edges])
+        a, b, reach_a, reach_b = conflict_constraints(layout, cfg, taus)
+        expected = scalar_constraints(layout, cfg)
+        assert len(expected) > 500
+        keys = [e.key for e in layout.edges]
+        assert [(keys[p], keys[q]) for p, q in zip(a.tolist(), b.tolist())] == [
+            (key_a, key_b) for key_a, key_b, _, _ in expected
+        ]
+        assert reach_a.tolist() == [r for _, _, r, _ in expected]
+        assert reach_b.tolist() == [r for _, _, _, r in expected]
+
+    def test_no_crossings(self):
+        layout = no_conflict_layout()
+        columns = conflict_constraints(layout, SLOWLIN, np.array([1000.0, 800.0]))
+        assert [len(column) for column in columns] == [0, 0, 0, 0]
 
 
 class TestHorizonRepeats:

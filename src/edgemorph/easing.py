@@ -92,14 +92,26 @@ def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.nda
     a, b, c = coeffs
     t = np.asarray(targets, dtype=float)
     p = np.clip(t, 0.0, 1.0)
+    # In place, with the operations and order of the expressions in comments.
+    prev, residual, deriv, step = (np.empty_like(p) for _ in range(4))
+    safe, unsafe = np.empty(p.shape, dtype=bool), np.empty(p.shape, dtype=bool)
     with np.errstate(all="ignore"):  # steps of unsafe slopes are discarded
         for _ in range(_NEWTON_ITERATIONS):
-            residual = ((a * p + b) * p + c) * p - t
-            deriv = (3.0 * a * p + 2.0 * b) * p + c
-            safe = np.abs(deriv) > 1e-12
-            step = residual / deriv
-            np.copyto(step, 0.0, where=~safe)  # a flat or NaN slope does not move
-            p, prev = np.clip(p - step, 0.0, 1.0), p
+            np.multiply(p, a, out=residual)  # ((a * p + b) * p + c) * p - t
+            residual += b
+            residual *= p
+            residual += c
+            residual *= p
+            residual -= t
+            np.multiply(p, 3.0 * a, out=deriv)  # (3.0 * a * p + 2.0 * b) * p + c
+            deriv += 2.0 * b
+            deriv *= p
+            deriv += c
+            np.greater(np.abs(deriv, out=step), 1e-12, out=safe)
+            np.divide(residual, deriv, out=step)
+            np.copyto(step, 0.0, where=np.logical_not(safe, out=unsafe))  # flat or NaN
+            p, prev = prev, p  # p, prev = clip(p - step, 0, 1), p
+            np.clip(np.subtract(prev, step, out=p), 0.0, 1.0, out=p)
     # Acceptance looks at the final step only; a masked element never settles.
     last_step = np.where(safe, np.abs(p - prev), np.inf)
     residual = ((a * p + b) * p + c) * p - t

@@ -25,12 +25,13 @@ stub ratio on a fixed time grid and verifies ratio bounds, crossing-point
 separation, per-edge start separation, and the resting initial frame, without
 reusing any of the interval arithmetic that placed the starts. An edge rests
 at delta0 outside its animated span, so only that span, widened on each side
-by the distinctness time, is sampled and kept: memory grows with the animated
+by the distinctness time, is sampled: memory grows with the animated
 samples, not with edges times the grid. The spans go through the stub-ratio
 kernel that rendering uses, and the eased samples of consecutive edges are
 solved together, one easing call per block of about :data:`EASING_BLOCK`
-fractions, so the easing cost is arithmetic, not call overhead, and the
-fractions held at once stay bounded. Each crossing partner's ratios are
+fractions, so the easing cost is arithmetic, not call overhead. Float ratios
+live only within such a block: spans are kept as levels, one byte per sample
+(see :func:`validate_schedule`), and each crossing partner's levels are
 dilated over the distinctness window by a numpy running maximum.
 
 All starts are quantized to microseconds when placed (rounding up, which can
@@ -274,10 +275,11 @@ def _window_max(values: np.ndarray, lag: int, pad: float) -> np.ndarray:
 
     Windows double up to the largest power of two within 2 * lag + 1; two of
     them, one from each end, cover a full window. Max is exact, so any split
-    of the windows gives the same floats.
+    of the windows gives the same values, in the dtype of values.
     """
     width = 2 * lag + 1
-    peak = np.concatenate([np.full(lag, pad), values, np.full(lag, pad)])
+    ends = np.full(lag, pad, dtype=values.dtype)
+    peak = np.concatenate([ends, values, ends])
     spare = peak.copy()
     span = 1
     while 2 * span <= width:
@@ -323,12 +325,20 @@ def validate_schedule(
     whole grid gives, but memory grows with the animated samples, not with
     edges times grid samples.
 
+    A crossing only asks whether a ratio reaches a threshold, its nearer
+    ratio less float noise. A sample's level counts the thresholds of its
+    edge that its ratio reaches; the ratio reaches a threshold exactly when
+    the level reaches the threshold's rank, one plus the position of the
+    first equal threshold in the edge's sorted list. A running maximum
+    commutes with this non-decreasing count, so spans are kept and dilated
+    as levels: one byte per sample, two past 255 thresholds.
+
     Each entry's span goes through :func:`~edgemorph.kinematics.animated_cells`,
     but its eased fractions are held back: once about :data:`EASING_BLOCK`
     wait, one easing call solves them all and the held entries are checked
     in schedule order. The easing is elementwise, so the ratios are bit for
-    bit the ones rendering draws, and the held fractions add at most one
-    block plus one entry's worth to the memory of the spans.
+    bit the ones rendering draws; they live only until the block's levels
+    and its ratio-range and initial-frame checks are done.
     """
     if not 0.0 < step_ms < math.inf:
         raise RangeError(f"validator step {step_ms} ms is not a positive finite number")
@@ -373,38 +383,61 @@ def validate_schedule(
                     )
             prev = ts
 
-    def on_grid(first: int, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Samples lo..hi-1 of a series that is delta0 outside values."""
-        if first <= lo and hi <= first + len(values):
-            return values[lo - first : hi - first]
-        out = np.full(hi - lo, cfg.delta0)
-        a, b = max(first, lo), min(first + len(values), hi)
+    a, b, px, py, *ratios = _crossing_table(layout, cfg.delta0)
+    nearer_a, nearer_b = (np.minimum(r, 1.0 - r) for r in ratios)
+    # The resting ratio already covers these points: check the whole grid.
+    whole = np.minimum(nearer_a, nearer_b) - _EPS_RATIO <= cfg.delta0
+    # Each edge's sorted thresholds, from its crossings in either role, and
+    # each row's rank in them. Index len(layout.edges) stands for a scheduled
+    # edge outside the layout, which has none.
+    edge = np.concatenate([a, b])
+    threshold = np.concatenate([nearer_a, nearer_b]) - _EPS_RATIO
+    order = np.lexsort((threshold, edge))
+    edge, threshold = edge[order], threshold[order]
+    bounds = np.searchsorted(edge, np.arange(len(layout.edges) + 2))
+    fresh = (np.diff(edge, prepend=-1) != 0) | (np.diff(threshold, prepend=np.nan) != 0)
+    first_equal = np.maximum.accumulate(np.where(fresh, np.arange(len(edge)), 0))
+    rank = np.empty(len(edge), dtype=int)
+    rank[order] = first_equal - bounds[edge] + 1
+    index = {e.key: k for k, e in enumerate(layout.edges)}
+
+    def on_grid(first: int, levels: np.ndarray, pad: int, lo: int, hi: int) -> np.ndarray:
+        """Samples lo..hi-1 of a series that is pad outside levels."""
+        if first <= lo and hi <= first + len(levels):
+            return levels[lo - first : hi - first]
+        out = np.full(hi - lo, pad, dtype=levels.dtype)
+        a, b = max(first, lo), min(first + len(levels), hi)
         if a < b:
-            out[a - lo : b - lo] = values[a - first : b - first]
+            out[a - lo : b - lo] = levels[a - first : b - first]
         return out
 
     lag = int(np.floor((cfg.tau_distinct - _EPS_MS) / step_ms))
     # A window wider than the grid already covers all of it.
     margin = min(max(lag, 0), count)
-    # key -> (grid index of the first sample, samples of the widened span)
-    series: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
+    # layout index -> (grid index of the first sample, levels of the widened
+    # span, level at rest)
+    series: dict[int, tuple[int, np.ndarray, int]] = {}
     # Entries whose eased samples wait for one easing solve across entries.
-    held: list[tuple[tuple[str, str], int, np.ndarray, np.ndarray, np.ndarray]] = []
+    held: list[tuple] = []
 
     def check_held() -> None:
         """Ease every held fraction in one call, then check the entries in order."""
-        batch = np.concatenate([h[4] for h in held])
+        batch = np.concatenate([h[-1] for h in held])
         ratios = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, batch)
+        bad = (ratios < cfg.delta0 - _EPS_RATIO) | (ratios > 0.5 + _EPS_RATIO)
         a = 0
-        for key, lo, values, where, fractions in held:
-            values[where] = ratios[a : a + len(fractions)]
+        for key, lo, at_zero, levels, thresholds, cells, fractions in held:
+            eased, wrong = ratios[a : a + len(fractions)], bad[a : a + len(fractions)]
             a += len(fractions)
-            if lo == 0 and len(values) and abs(values[0] - cfg.delta0) > _EPS_RATIO:
-                add("initial-frame", 0.0, (key,), f"ratio {values[0]} at time 0")
-            bad = (values < cfg.delta0 - _EPS_RATIO) | (values > 0.5 + _EPS_RATIO)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                add("ratio-range", float(times[lo + i]), (key,), f"ratio {values[i]}")
+            levels[cells] = thresholds.searchsorted(eased, side="right")
+            if at_zero:
+                # Cell 0 animates: it eases if it is the first eased cell.
+                ratio = eased[0] if len(cells) and cells[0] == 0 else 0.5
+                if abs(ratio - cfg.delta0) > _EPS_RATIO:
+                    add("initial-frame", 0.0, (key,), f"ratio {ratio} at time 0")
+            if np.any(wrong):
+                i = int(np.argmax(wrong))
+                add("ratio-range", float(times[lo + cells[i]]), (key,), f"ratio {eased[i]}")
         held.clear()
 
     waiting = 0
@@ -419,10 +452,14 @@ def validate_schedule(
         cells, eased, fractions = animated_cells(
             times[lo:hi], se.starts, se.animation.tau, se.animation.total, cfg.tau_half
         )
-        values = np.full(hi - lo, cfg.delta0)
-        values[cells] = 0.5
-        series[key] = (lo, values)
-        held.append((key, lo, values, cells[eased], fractions))
+        k = index.get(key, len(layout.edges))
+        thresholds = threshold[bounds[k] : bounds[k + 1]]
+        pad = int(thresholds.searchsorted(cfg.delta0, side="right"))
+        levels = np.full(hi - lo, pad, dtype=np.min_scalar_type(len(thresholds)))
+        levels[cells] = len(thresholds)  # the hold at 1/2 reaches every threshold
+        series[k] = (lo, levels, pad)
+        at_zero = lo == 0 and len(cells) and cells[0] == 0
+        held.append((key, lo, at_zero, levels, thresholds, cells[eased], fractions))
         waiting += len(fractions)
         if waiting >= EASING_BLOCK:
             check_held()
@@ -430,40 +467,35 @@ def validate_schedule(
     if held:
         check_held()
 
-    dilated: dict[tuple[str, str], tuple[int, np.ndarray]] = {}
+    dilated: dict[int, tuple[int, np.ndarray, int]] = {}
 
-    def dilate(key: tuple[str, str]) -> tuple[int, np.ndarray]:
-        """Maximum of the series over +-margin samples, on its widened span.
+    def dilate(k: int) -> tuple[int, np.ndarray, int]:
+        """Maximum of the levels over +-margin samples, on the widened span.
 
         The span holds every sample within margin of an animated one and the
-        series is delta0 beyond it, so the window maximum of the span, padded
-        with delta0, equals the dilation of the whole grid there.
+        series rests beyond it, so the window maximum of the span, padded
+        with the resting level, equals the dilation of the whole grid there.
         """
-        if key not in dilated:
-            first, values = series[key]
-            dilated[key] = (first, _window_max(values, margin, cfg.delta0))
-        return dilated[key]
+        if k not in dilated:
+            first, levels, pad = series[k]
+            dilated[k] = (first, _window_max(levels, margin, pad), pad)
+        return dilated[k]
 
-    a, b, px, py, *ratios = _crossing_table(layout, cfg.delta0)
-    nearer = [np.minimum(r, 1.0 - r) for r in ratios]
-    # The resting ratio already covers these points: check the whole grid.
-    whole = np.minimum(*nearer) - _EPS_RATIO <= cfg.delta0
-    keys = [edge.key for edge in layout.edges]
-    columns = (c.tolist() for c in (a, b, px, py, *nearer, whole))
-    for p, q, x, y, nearer_a, nearer_b, everywhere in zip(*columns):
-        key_a, key_b = keys[p], keys[q]
-        if key_a not in series or key_b not in series:
+    keys = [e.key for e in layout.edges]
+    columns = (c.tolist() for c in (a, b, px, py, rank[: len(a)], rank[len(a) :], whole))
+    for p, q, x, y, rank_a, rank_b, everywhere in zip(*columns):
+        if p not in series or q not in series:
             continue
-        (first_a, values_a), (first_b, dilated_b) = series[key_a], dilate(key_b)
+        (first_a, levels_a, pad_a), (first_b, dilated_b, pad_b) = series[p], dilate(q)
         if everywhere:
             lo, hi = 0, count
         else:
             lo = max(first_a, first_b)
-            hi = min(first_a + len(values_a), first_b + len(dilated_b))
+            hi = min(first_a + len(levels_a), first_b + len(dilated_b))
         if lo >= hi:
             continue
-        cover_a = on_grid(first_a, values_a, lo, hi) >= nearer_a - _EPS_RATIO
-        near_b = on_grid(first_b, dilated_b, lo, hi) >= nearer_b - _EPS_RATIO
+        cover_a = on_grid(first_a, levels_a, pad_a, lo, hi) >= rank_a
+        near_b = on_grid(first_b, dilated_b, pad_b, lo, hi) >= rank_b
         clash = cover_a & near_b
         if lag < 0:
             # Coverages that only touch share one instant, allowed at 0.
@@ -473,7 +505,7 @@ def validate_schedule(
             add(
                 "crossing-separation",
                 float(times[i]),
-                (key_a, key_b),
+                (keys[p], keys[q]),
                 f"both within {cfg.tau_distinct} ms of crossing ({x:.3f}, {y:.3f})",
             )
 

@@ -689,6 +689,45 @@ class TestDenseOracle:
         (violation,) = report.violations
         assert violation.time_ms > ab.animation.total
 
+    @pytest.mark.parametrize("preset", ["fastlin", "fasteas"])
+    def test_edge_with_more_crossings_than_a_byte_counts(self, preset, monkeypatch):
+        # One long edge crossed by 300 short ones: its 300 thresholds need
+        # 16-bit levels. Mirrored crossings share their nearer ratio.
+        xs = [400.0 + 2.0 * k for k in range(150)]
+        xs += [1500.0 - x for x in xs]
+        nodes = [NodeSpec("z0", 0.0, 0.0), NodeSpec("z1", 1500.0, 0.0)]
+        edges = [EdgeSpec("z0", "z1")]
+        for k, x in enumerate(xs):
+            nodes += [NodeSpec(f"v{k:03d}", x, -30.0 - k % 20), NodeSpec(f"w{k:03d}", x, 70.0)]
+            edges.append(EdgeSpec(f"v{k:03d}", f"w{k:03d}"))
+        layout = GraphLayout(tuple(nodes), tuple(edges))
+        cfg = PRESETS[preset]
+        assert len(find_avoidable_crossings(layout, cfg.delta0)) == 300
+        dtypes = set()
+
+        def recorded(values, lag, pad):
+            dtypes.add(values.dtype)
+            return _window_max(values, lag, pad)
+
+        monkeypatch.setattr(scheduling, "_window_max", recorded)
+        schedule = compute_schedule(layout, cfg)
+        variants = schedule_variants(layout, schedule, random.Random(preset))
+        # Every short edge covers its crossing while the long one is fully
+        # drawn, where the long edge's level is above 255.
+        long = edge_animation(edges[0], layout, cfg)
+        hold_middle = long.tau + 0.5 * cfg.tau_half
+        entries = [ScheduledEdge(long, (0.0,))]
+        for edge in edges[1:]:
+            anim = edge_animation(edge, layout, cfg)
+            entries.append(ScheduledEdge(anim, (hold_middle - 0.5 * anim.total,)))
+        variants["during the hold"] = Schedule(cfg, tuple(entries), long.total)
+        for name in ("valid", "crossing partners together", "during the hold"):
+            report = validate_schedule(layout, cfg, variants[name])
+            assert report == dense_validate_schedule(layout, cfg, variants[name]), name
+            assert report.passed == (name == "valid"), name
+        assert dict(report.violation_counts) == {"crossing-separation": 300}
+        assert np.dtype(np.uint16) in dtypes
+
 
 EASE_IN_OUT = EasingSpec(CUBIC_KIND, 0.42, 0.0, 0.58, 1.0)
 
@@ -788,15 +827,27 @@ class TestEasingBlocks:
         assert not validate_schedule(layout, cfg, shifted).passed
 
     def test_memory_stays_bounded(self, bench_scale):
-        # About 47.4 MiB; one easing batch over the whole schedule peaks near 260 MiB.
+        # About 8.1 MiB; float spans took 47.4 MiB, and one easing batch over
+        # the whole schedule peaks near 260 MiB.
         layout, cfg, schedule, _ = bench_scale
-        tracemalloc.start()
-        try:
-            validate_schedule(layout, cfg, schedule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 52 * 2**20
+        assert traced_peak(validate_schedule, layout, cfg, schedule) <= 16 * 2**20
+
+    def test_memory_stays_bounded_over_a_long_horizon(self):
+        # About 20.4 MiB; float spans took 155.6 MiB.
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        cfg = replace(FASTLIN, horizon=60_000.0)
+        schedule = compute_schedule(layout, cfg)
+        assert traced_peak(validate_schedule, layout, cfg, schedule) <= 32 * 2**20
+
+
+def traced_peak(func, *args):
+    """Peak bytes that tracemalloc sees while func(*args) runs."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def scipy_window_max(values, lag, pad):
@@ -817,10 +868,20 @@ class TestWindowMax:
                 np.where(rng.random(n) < 0.9, 0.5, eased),
                 np.repeat(rng.choice([pad, 0.5], 1 + n // 8), 8)[:n],
             )
+            # Level series, as the validator dilates them: a resting level
+            # between 0 and the edge's threshold count.
+            levels = []
+            for dtype, rest, top in ((np.uint8, 3, 255), (np.uint16, 200, 300)):
+                moved = rng.integers(0, top + 1, n)
+                levels.append((np.where(rng.random(n) < 0.8, rest, moved).astype(dtype), rest))
             for lag in {0, 1, 2, 3, 5, 8, 31, max(n - 1, 0), n, n + 1, 2 * n + 3}:
                 for values in cases:
                     got = _window_max(values, lag, pad)
                     assert np.array_equal(got, scipy_window_max(values, lag, pad)), (n, lag)
+                for values, rest in levels:
+                    got = _window_max(values, lag, rest)
+                    assert got.dtype == values.dtype
+                    assert np.array_equal(got, scipy_window_max(values, lag, rest)), (n, lag)
 
     def test_every_series_the_validator_dilates(self, bench_scale, monkeypatch):
         layout, cfg, schedule, shifted = bench_scale

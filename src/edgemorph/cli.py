@@ -20,7 +20,7 @@ from .easing import parse_easing
 from .errors import EdgemorphError, UsageError
 from .graph import layout_to_json, parse_layout
 from .kinematics import PRESETS, AnimationConfig, parse_config
-from .render import export_animation, frame_to_svg, sample_frame
+from .render import export_animation, frame_texts
 from .scheduling import (
     compute_schedule,
     parse_schedule,
@@ -148,9 +148,9 @@ def _cmd_render(args) -> int:
     out_dir = Path(args.out)
     if args.frame_at is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        frame = sample_frame(layout, cfg, schedule, args.frame_at)
+        (text,) = frame_texts(layout, cfg, schedule, [args.frame_at])
         path = out_dir / f"frame_at_{args.frame_at:.3f}ms.svg"
-        path.write_text(frame_to_svg(frame), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         print(path)
         return 0
     written = export_animation(

@@ -12,23 +12,24 @@ that the validator samples too, so ``check`` verifies exactly the ratios drawn.
 :func:`_tips` turns the edges x times ratio matrix into tip coordinate
 arrays with the affine form that :func:`~edgemorph.graph.stub_pair` uses.
 
-Each piece of text has one writer: :func:`_line` writes every edge line,
-:func:`_edge_lines` decides between one full line and two stubs, and
-:func:`_document_ends` writes the root element, background and node disks
-around every document. Frame files are written in blocks of frames straight
-from the tip arrays, with no per-frame objects; :func:`sample_frame` is the
-one-column case and :func:`frame_to_svg` writes its frame through the same
-writers, so both give the same bytes. The animated export embeds per-stub tip
-keyframes, sampled at the configured frame rate, as declarative animation
-elements in one self-contained SVG, so linear and cubic easing share a single
-export path.
+Each piece of text has one writer, and every number one format,
+:data:`_NUMBER`. :func:`_anchored` opens every edge line with its end left as
+``%`` slots; :func:`_edge_templates` makes each edge's full line and two-stub
+template from it, and :func:`_edge_texts` picks between them.
+:func:`_document_ends` writes the root element, background and node disks.
+:func:`frame_texts` writes frames in blocks straight from the tip arrays, with
+no per-frame objects, for the frames export and ``render --frame-at`` alike;
+:func:`frame_to_svg` writes the frame of :func:`sample_frame` through the same
+templates. The animated export embeds per-stub tip keyframes, sampled at the
+configured frame rate, as declarative animation elements in one
+self-contained SVG, so linear and cubic easing share a single export path.
 
 Most edge-frames rest at exactly ``cfg.delta0``, and a line's text depends
 only on its edge and ratio. Each export therefore formats every edge's resting
 text once, from :func:`_tips` at ``delta0``, and formats only the edge-frames
-whose ratio differs; :func:`_over_resting` lays those over the resting text,
-so frame bodies start as the resting lines and keyframe lists as the resting
-tips.
+whose ratio differs, each with one ``%`` on its edge's template (none at
+1/2); :func:`_over_resting` lays those over the resting text, so frame bodies
+start as the resting lines and keyframe lists as the resting tips.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,8 +152,9 @@ def sample_frame(
     return FrameGeometry(timestamp=t, stubs=stubs, nodes=layout.nodes)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.3f}"
+#: The format of every number in a document: three decimal places.
+_NUMBER = "%.3f"
+_fmt = _NUMBER.__mod__
 
 
 def _view_box(nodes: tuple[NodeSpec, ...]) -> tuple[float, float, float, float]:
@@ -188,28 +190,37 @@ def _document(ends: tuple[str, str], body: list[str]) -> str:
     return "\n".join([head, *body, tail])
 
 
+def _anchored(p1: Point, style: RenderStyle) -> str:
+    """The open ``<line`` element of a stroked segment from p1, with its end
+    x2, y2 left as ``%`` slots (a ``%`` in the style is escaped)."""
+    return (
+        f'<line x1="{_fmt(p1[0])}" y1="{_fmt(p1[1])}" x2="{_NUMBER}" y2="{_NUMBER}" '
+        f'stroke="{style.stroke.replace("%", "%%")}" stroke-width="{_fmt(style.stroke_width)}"'
+    )
+
+
 def _line(p1: Point, p2: Point, style: RenderStyle, children: str = "") -> str:
     """One stroked segment; ``children`` (animation elements) go inside it."""
-    line = (
-        f'<line x1="{_fmt(p1[0])}" y1="{_fmt(p1[1])}" '
-        f'x2="{_fmt(p2[0])}" y2="{_fmt(p2[1])}" '
-        f'stroke="{style.stroke}" stroke-width="{_fmt(style.stroke_width)}"'
-    )
+    line = _anchored(p1, style) % (p2[0], p2[1])
     return f"{line}>{children}</line>" if children else f"{line}/>"
 
 
-def _edge_lines(
-    ratio: float,
-    source: Point,
-    source_tip: Point,
-    target: Point,
-    target_tip: Point,
-    style: RenderStyle,
-) -> str:
-    """A fully drawn edge is one line between its endpoints, a partial one two stubs."""
-    if ratio >= 0.5 - 1e-12:
-        return _line(source, target, style)
-    return f"{_line(source, source_tip, style)}\n{_line(target, target_tip, style)}"
+def _edge_templates(anchors: list, style: RenderStyle) -> tuple[list[str], list[str]]:
+    """Per (source, target) anchor pair: the edge's full line, and its two stubs
+    with the tips x1, y1 (source) and x2, y2 (target) as ``%`` slots."""
+    full = [_line(source, target, style) for source, target in anchors]
+    stubs = [f"{_anchored(s, style)}/>\n{_anchored(t, style)}/>" for s, t in anchors]
+    return full, stubs
+
+
+def _edge_texts(templates: tuple[list[str], list[str]], cells: Iterable) -> list[str]:
+    """Text of each (edge index, ratio, x1, y1, x2, y2) cell: a fully drawn edge
+    is one line between its endpoints, a partial one two stubs."""
+    full, stubs = templates
+    return [
+        full[i] if r >= 0.5 - 1e-12 else stubs[i] % (x1, y1, x2, y2)
+        for i, r, x1, y1, x2, y2 in cells
+    ]
 
 
 def frame_to_svg(
@@ -236,10 +247,10 @@ def frame_to_svg(
         for region in regions
         for node in map(by_id.__getitem__, region)
     ]
-    body += [
-        _edge_lines(s.ratio, *s.segment_source, *s.segment_target, style)
-        for s in frame.stubs
-    ]
+    stubs = frame.stubs
+    anchors = [(s.segment_source[0], s.segment_target[0]) for s in stubs]
+    cells = ((i, s.ratio, *s.segment_source[1], *s.segment_target[1]) for i, s in enumerate(stubs))
+    body += _edge_texts(_edge_templates(anchors, style), cells)
     return _document(_document_ends(frame.nodes, style), body)
 
 
@@ -256,6 +267,29 @@ def frame_timestamps(makespan: float, fps: float) -> list[float]:
             f"{makespan:.3f} ms at {fps} fps needs more than {MAX_FRAMES} frames"
         )
     return [k * 1000.0 / fps for k in range(max(math.ceil(span), 0) + 1)]
+
+
+def frame_texts(
+    layout: GraphLayout,
+    cfg: AnimationConfig,
+    schedule: Schedule,
+    times: Sequence[float],
+    style: RenderStyle = DEFAULT_STYLE,
+) -> Iterator[str]:
+    """SVG text of the frame at each time, sampled :data:`FRAME_BLOCK` frames
+    at a time; each block formats only its moving edge-frames."""
+    ends = _document_ends(layout.nodes, style)
+    templates = _edge_templates([layout.endpoints(edge) for edge in layout.edges], style)
+    rest = enumerate(_resting_tips(layout, cfg))
+    resting = _edge_texts(templates, ((i, cfg.delta0, *tips) for i, tips in rest))
+    for first in range(0, len(times), FRAME_BLOCK):
+        ratios = _stub_ratios(layout, cfg, schedule, times[first : first + FRAME_BLOCK])
+        moving = ratios != cfg.delta0
+        arrays = (ratios, *_tips(layout, ratios))
+        cells = zip(np.nonzero(moving)[0].tolist(), *(a[moving].tolist() for a in arrays))
+        texts = _edge_texts(templates, cells)
+        for body in _over_resting(resting, moving, texts).T.tolist():
+            yield _document(ends, body)
 
 
 def _animated_svg(
@@ -314,26 +348,10 @@ def export_animation(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if frames:
-        ends = _document_ends(layout.nodes, style)
-        anchors = [layout.endpoints(edge) for edge in layout.edges]
-        resting = [
-            _edge_lines(cfg.delta0, source, (x1, y1), target, (x2, y2), style)
-            for (source, target), (x1, y1, x2, y2) in zip(anchors, _resting_tips(layout, cfg))
-        ]
-        for first in range(0, len(times), FRAME_BLOCK):
-            ratios = _stub_ratios(layout, cfg, schedule, times[first : first + FRAME_BLOCK])
-            moving = ratios != cfg.delta0
-            arrays = (ratios, *_tips(layout, ratios))
-            cells = zip(np.nonzero(moving)[0].tolist(), *(a[moving].tolist() for a in arrays))
-            texts = [
-                _edge_lines(r, anchors[i][0], (x1, y1), anchors[i][1], (x2, y2), style)
-                for i, r, x1, y1, x2, y2 in cells
-            ]
-            lines = _over_resting(resting, moving, texts)
-            for k, body in enumerate(lines.T.tolist(), start=first):
-                path = out_dir / f"frame_{k:06d}.svg"
-                path.write_text(_document(ends, body), encoding="utf-8")
-                written.append(path)
+        for k, text in enumerate(frame_texts(layout, cfg, schedule, times, style)):
+            path = out_dir / f"frame_{k:06d}.svg"
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
     if animated:
         ratios = _stub_ratios(layout, cfg, schedule, times)
         path = out_dir / "animation.svg"

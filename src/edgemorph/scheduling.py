@@ -482,11 +482,15 @@ def validate_schedule(
         return dilated[k]
 
     keys = [e.key for e in layout.edges]
+    # Free each partner's dilated span after the last row that reads it.
+    last_row = {q: row for row, q in enumerate(b.tolist())}
     columns = (c.tolist() for c in (a, b, px, py, rank[: len(a)], rank[len(a) :], whole))
-    for p, q, x, y, rank_a, rank_b, everywhere in zip(*columns):
+    for row, (p, q, x, y, rank_a, rank_b, everywhere) in enumerate(zip(*columns)):
         if p not in series or q not in series:
             continue
         (first_a, levels_a, pad_a), (first_b, dilated_b, pad_b) = series[p], dilate(q)
+        if row == last_row[q]:
+            del dilated[q]
         if everywhere:
             lo, hi = 0, count
         else:

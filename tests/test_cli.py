@@ -470,6 +470,20 @@ class TestRender:
         assert text.count("<line") == 4
         assert 'x2="100.000"' in text  # quarter stub of the 400 px edge
 
+    def test_frame_at_equals_exported_frame(
+        self, layout_file, schedule_file, tmp_path, capsys
+    ):
+        """A single frame at a frame time is that frame's file: resting,
+        partial and fully drawn edges."""
+        frames = tmp_path / "frames"
+        args = ["render", str(layout_file), "--schedule", str(schedule_file), "--out"]
+        assert main([*args, str(frames)]) == 0
+        fps = json.loads(schedule_file.read_text(encoding="utf-8"))["config"]["fps"]
+        for k in (0, 12, 31, 40, 68):
+            assert main([*args, str(tmp_path / "one"), "--frame-at", str(k * 1000.0 / fps)]) == 0
+            single = Path(capsys.readouterr().out.splitlines()[-1])
+            assert single.read_bytes() == (frames / f"frame_{k:06d}.svg").read_bytes()
+
     @pytest.mark.parametrize("extra", [[], ["--animated"], ["--frame-at", "0"]])
     def test_another_layouts_schedule_is_refused(
         self, schedule_file, tmp_path, capsys, extra

@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -438,6 +440,132 @@ def test_exported_frames_match_resampling(tmp_path, cross_layout, case):
     for path, t in zip(written, times):
         expected = frame_to_svg(sample_frame(layout, cfg, schedule, t))
         assert path.read_text(encoding="utf-8") == expected
+
+
+def reference_line(p1, p2, style, children=""):
+    """The f-string line writer that the line templates replaced."""
+    line = (
+        f'<line x1="{p1[0]:.3f}" y1="{p1[1]:.3f}" x2="{p2[0]:.3f}" y2="{p2[1]:.3f}" '
+        f'stroke="{style.stroke}" stroke-width="{style.stroke_width:.3f}"'
+    )
+    return f"{line}>{children}</line>" if children else f"{line}/>"
+
+
+def reference_ends(nodes, style):
+    """Root element and background before the body, node disks after it."""
+    x, y = min(n.x for n in nodes) - 10.0, min(n.y for n in nodes) - 10.0
+    w = max(n.x for n in nodes) + 10.0 - x
+    h = max(n.y for n in nodes) + 10.0 - y
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x:.3f} {y:.3f} {w:.3f} {h:.3f}">\n'
+        f'<rect x="{x:.3f}" y="{y:.3f}" width="{w:.3f}" height="{h:.3f}" '
+        f'fill="{style.background}"/>'
+    )
+    circles = [
+        f'<circle cx="{n.x:.3f}" cy="{n.y:.3f}" r="{style.node_radius:.3f}" '
+        f'fill="{style.node_fill(n)}" stroke="{style.stroke}" '
+        f'stroke-width="{style.stroke_width:.3f}"/>'
+        for n in nodes
+    ]
+    return head, "\n".join([*circles, "</svg>"]) + "\n"
+
+
+def reference_export(layout, cfg, schedule, style):
+    """Every frame's text, then the animated document, written with f-strings
+    from the public ratio kernel and the affine tips (1 - r) a + r b."""
+    times = frame_timestamps(schedule.makespan, cfg.fps)
+    by_key = schedule.starts_by_key()
+    entries = [
+        (by_key[e.key].animation, by_key[e.key].starts) if e.key in by_key else None
+        for e in layout.edges
+    ]
+    ratios = stub_ratio_matrix(cfg, entries, times)
+    anchors = [layout.endpoints(e) for e in layout.edges]
+    sx, sy, tx, ty = np.array(anchors).reshape(-1, 4).T[:, :, None]
+    rest = 1.0 - ratios
+    tips = (
+        rest * sx + ratios * tx,
+        rest * sy + ratios * ty,
+        rest * tx + ratios * sx,
+        rest * ty + ratios * sy,
+    )
+    head, tail = reference_ends(layout.nodes, style)
+    for k in range(len(times)):
+        body = []
+        for (source, target), r, x1, y1, x2, y2 in zip(
+            anchors, *(a[:, k].tolist() for a in (ratios, *tips))
+        ):
+            if r >= 0.5 - 1e-12:
+                body.append(reference_line(source, target, style))
+            else:
+                body.append(
+                    f"{reference_line(source, (x1, y1), style)}\n"
+                    f"{reference_line(target, (x2, y2), style)}"
+                )
+        yield "\n".join([head, *body, tail])
+    duration = times[-1] if times[-1] > 0 else 1000.0 / cfg.fps
+    key_times = ";".join(f"{t / duration:.6f}" for t in times)
+    body = []
+    for i, (source, target) in enumerate(anchors):
+        for anchor, xs, ys in ((source, tips[0][i], tips[1][i]), (target, tips[2][i], tips[3][i])):
+            children = ""
+            for name, values in (("x2", xs.tolist()), ("y2", ys.tolist())):
+                column = ";".join(f"{v:.3f}" for v in values)
+                children += (
+                    f'<animate attributeName="{name}" dur="{duration:.3f}ms" '
+                    f'values="{column}" keyTimes="{key_times}" '
+                    'calcMode="linear" repeatCount="indefinite"/>'
+                )
+            body.append(reference_line(anchor, (xs[0], ys[0]), style, children))
+    yield "\n".join([head, *body, tail])
+
+
+ORACLE_CASES = [*KERNEL_CASES, "overlapping", *SAMPLE_CASES, "sample-fastlin-cli", "odd-stroke"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+def test_exports_equal_reference_writer(tmp_path, case):
+    """Frame files and animation.svg are the bytes the f-string writer gives:
+    eased, multi-start, overlapping, the sample under a 60 s horizon at the
+    command line's 30 fps (holds and full lines), and a stroke holding % and {}."""
+    style = render.DEFAULT_STYLE
+    if case == "sample-fastlin-cli":
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        cfg = replace(PRESETS["fastlin"], horizon=60_000.0)
+        schedule = compute_schedule(layout, cfg)
+    elif case == "odd-stroke":
+        layout, cfg, schedule = overlapping_schedule()
+        style = RenderStyle(stroke="rgb(0%,0%,0%) {} %s {0} %%")
+    else:
+        layout, cfg, schedule = case_schedule(case)
+    written = export_animation(layout, cfg, schedule, tmp_path, animated=True, style=style)
+    expected = reference_export(layout, cfg, schedule, style)
+    count = len(frame_timestamps(schedule.makespan, cfg.fps))
+    assert [p.name for p in written] == [
+        *(f"frame_{k:06d}.svg" for k in range(count)),
+        "animation.svg",
+    ]
+    lines = set()
+    for path, text in zip(written, expected, strict=True):
+        assert path.read_text(encoding="utf-8") == text
+        lines.add(text.count("<line"))
+    # some frame draws a full line, the resting frames two stubs per edge
+    assert min(lines) < 2 * len(layout.edges) == max(lines)
+    assert f'stroke="{style.stroke}"' in text
+
+
+@given(st.floats())
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(1e308)
+@example(0.0005)
+@example(2.0005)
+@example(-0.0004)
+def test_number_format_is_three_decimals(value):
+    assert render._NUMBER % value == format(value, ".3f")
 
 
 @pytest.mark.parametrize("case", ["slowlin-True", "fasteas-False", "overlapping"])

@@ -5,7 +5,10 @@ web-style timing curve through (0,0) and (1,1) with two inner control points;
 its x coordinate is the time fraction and its y coordinate the progress, so
 evaluating it as a function requires solving x(p) = t numerically. The solver
 is a safeguarded Newton iteration that falls back to bisection, the same
-strategy browsers use for CSS timing functions.
+strategy browsers use for CSS timing functions. Its guard zeroes steps whose
+slope is NaN or within 1e-12 of 0. An axis whose least slope on [0, 1] (an end
+or the inner vertex) is far above that cannot trip it, so it is skipped there
+bit for bit: ``ease`` skips it solving x; ``ease-in``, flat at 1, keeps it.
 
 Evaluation and inversion are exact at the interval boundaries: 0 maps to 0 and
 1 maps to 1 without touching the solver.
@@ -27,6 +30,7 @@ CUBIC_KIND = "cubic-bezier"
 _NEWTON_TOL = 1e-9
 _NEWTON_ITERATIONS = 8
 _BISECTION_ITERATIONS = 48
+_SLOPE_MARGIN = 1e-6  # least slope, per unit of coefficient size, that skips the guard
 
 #: Grid size used by verify_monotone and the documented round-trip guarantees.
 MONOTONE_GRID = 10_000
@@ -77,9 +81,21 @@ def _coefficients(c1: float, c2: float) -> tuple[float, float, float]:
     return (1.0 - c - b, b, c)
 
 
-def _cubic(coeffs: tuple[float, float, float], p):
+def _cubic(coeffs: tuple[float, float, float], p, out=None):
     a, b, c = coeffs
-    return ((a * p + b) * p + c) * p
+    out = np.multiply(p, a, out=out)
+    out += b
+    out *= p
+    out += c
+    out *= p
+    return out
+
+
+def _least_slope(coeffs: tuple[float, float, float]) -> float:
+    """Least of the slope 3 a p^2 + 2 b p + c on [0, 1]: an end, or the inner vertex."""
+    a, b, c = coeffs
+    vertex = c - b * b / (3.0 * a) if 0.0 < -b < 3.0 * a else np.inf
+    return min(c, 3.0 * a + 2.0 * b + c, vertex)
 
 
 def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.ndarray:
@@ -92,30 +108,34 @@ def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.nda
     a, b, c = coeffs
     t = np.asarray(targets, dtype=float)
     p = np.clip(t, 0.0, 1.0)
+    guard = not _least_slope(coeffs) > _SLOPE_MARGIN * (1.0 + abs(a) + abs(b) + abs(c))
     # In place, with the operations and order of the expressions in comments.
-    prev, residual, deriv, step = (np.empty_like(p) for _ in range(4))
+    prev, step, deriv = (np.empty_like(p) for _ in range(3))
     safe, unsafe = np.empty(p.shape, dtype=bool), np.empty(p.shape, dtype=bool)
     with np.errstate(all="ignore"):  # steps of unsafe slopes are discarded
         for _ in range(_NEWTON_ITERATIONS):
-            np.multiply(p, a, out=residual)  # ((a * p + b) * p + c) * p - t
-            residual += b
-            residual *= p
-            residual += c
-            residual *= p
-            residual -= t
+            _cubic(coeffs, p, out=step)  # (((a * p + b) * p + c) * p - t) / deriv
+            step -= t
             np.multiply(p, 3.0 * a, out=deriv)  # (3.0 * a * p + 2.0 * b) * p + c
             deriv += 2.0 * b
             deriv *= p
             deriv += c
-            np.greater(np.abs(deriv, out=step), 1e-12, out=safe)
-            np.divide(residual, deriv, out=step)
-            np.copyto(step, 0.0, where=np.logical_not(safe, out=unsafe))  # flat or NaN
+            np.divide(step, deriv, out=step)
+            if guard:  # prev is free until the swap below
+                np.greater(np.abs(deriv, out=prev), 1e-12, out=safe)
+                np.copyto(step, 0.0, where=np.logical_not(safe, out=unsafe))  # flat or NaN
             p, prev = prev, p  # p, prev = clip(p - step, 0, 1), p
-            np.clip(np.subtract(prev, step, out=p), 0.0, 1.0, out=p)
-    # Acceptance looks at the final step only; a masked element never settles.
-    last_step = np.where(safe, np.abs(p - prev), np.inf)
-    residual = ((a * p + b) * p + c) * p - t
-    unsettled = (np.abs(residual) > _NEWTON_TOL) | (last_step > _NEWTON_TOL)
+            np.subtract(prev, step, out=p)
+            if not 0.0 <= p.min(initial=0.0) <= p.max(initial=1.0) <= 1.0:  # cheaper than clip
+                np.clip(p, 0.0, 1.0, out=p)
+    # Acceptance looks at the final step only; a masked or NaN step never settles.
+    residual = _cubic(coeffs, p, out=deriv)
+    residual -= t
+    np.abs(np.subtract(p, prev, out=step), out=step)
+    if guard:
+        np.copyto(step, np.inf, where=unsafe)
+    unsettled = np.greater(np.abs(residual, out=residual), _NEWTON_TOL, out=safe)
+    unsettled |= np.logical_not(np.less_equal(step, _NEWTON_TOL, out=unsafe), out=unsafe)
     if np.any(unsettled):
         tt = t[unsettled]
         lo = np.zeros_like(tt)
@@ -132,15 +152,16 @@ def _solve_monotone_cubic(coeffs: tuple[float, float, float], targets) -> np.nda
 def _across_curve(spec: EasingSpec, values, inverse: bool, what: str) -> np.ndarray:
     """Map values in [0, 1] across the curve: x to y, or y to x when inverse."""
     v = np.asarray(values, dtype=float)
-    if np.any(~((v >= 0.0) & (v <= 1.0))):
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails both
         raise RangeError(f"{what} outside [0, 1]")
     if spec.is_linear:
         return v.copy()
     x, y = _coefficients(spec.x1, spec.x2), _coefficients(spec.y1, spec.y2)
     solve, read = (y, x) if inverse else (x, y)
-    out = np.clip(_cubic(read, _solve_monotone_cubic(solve, v)), 0.0, 1.0)
-    out = np.where(v == 0.0, 0.0, out)
-    out = np.where(v == 1.0, 1.0, out)
+    out = _cubic(read, _solve_monotone_cubic(solve, v))
+    np.clip(out, 0.0, 1.0, out=out)
+    np.copyto(out, 0.0, where=v == 0.0)  # not v itself: -0.0 maps to 0.0
+    np.copyto(out, 1.0, where=v == 1.0)
     return out
 
 

@@ -423,11 +423,14 @@ def validate_schedule(
     def check_held() -> None:
         """Ease every held fraction in one call, then check the entries in order."""
         batch = np.concatenate([h[-1] for h in held])
-        ratios = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, batch)
-        bad = (ratios < cfg.delta0 - _EPS_RATIO) | (ratios > 0.5 + _EPS_RATIO)
+        ratios = evaluate_many(cfg.easing, batch)  # delta0 + ratio_span * eased
+        ratios *= cfg.ratio_span
+        ratios += cfg.delta0
+        least, most = cfg.delta0 - _EPS_RATIO, 0.5 + _EPS_RATIO
+        leaves = ratios.size and not (ratios.min() >= least and ratios.max() <= most)
         a = 0
         for key, lo, at_zero, levels, thresholds, cells, fractions in held:
-            eased, wrong = ratios[a : a + len(fractions)], bad[a : a + len(fractions)]
+            eased = ratios[a : a + len(fractions)]
             a += len(fractions)
             levels[cells] = thresholds.searchsorted(eased, side="right")
             if at_zero:
@@ -435,7 +438,7 @@ def validate_schedule(
                 ratio = eased[0] if len(cells) and cells[0] == 0 else 0.5
                 if abs(ratio - cfg.delta0) > _EPS_RATIO:
                     add("initial-frame", 0.0, (key,), f"ratio {ratio} at time 0")
-            if np.any(wrong):
+            if leaves and np.any(wrong := (eased < least) | (eased > most)):
                 i = int(np.argmax(wrong))
                 add("ratio-range", float(times[lo + cells[i]]), (key,), f"ratio {eased[i]}")
         held.clear()
@@ -504,7 +507,7 @@ def validate_schedule(
         if lag < 0:
             # Coverages that only touch share one instant, allowed at 0.
             clash = clash[:-1] & clash[1:]
-        if np.any(clash):
+        if clash.any():
             i = lo + int(np.argmax(clash))
             add(
                 "crossing-separation",

@@ -19,10 +19,23 @@ from edgemorph.easing import (
     CUBIC_KIND,
     _coefficients,
     _cubic,
+    _least_slope,
     _solve_monotone_cubic,
     evaluate_many,
     invert_many,
 )
+
+
+#: Zero slope at p = 0 on both axes, so a target of 0 takes the masked sweep.
+EASE_OUT = EasingSpec(CUBIC_KIND, 0.0, 0.0, 0.58, 1.0)
+#: x flat at p = 1 (x2 = 1), y flat at p = 0 (y1 = 0).
+EASE_IN = EasingSpec(CUBIC_KIND, 0.42, 0.0, 1.0, 1.0)
+#: x steep everywhere (least slope 0.87 at p = 1/2), y flat at both ends.
+EASE_IN_OUT = EasingSpec(CUBIC_KIND, 0.42, 0.0, 0.58, 1.0)
+#: Both axes flat at both ends.
+SMOOTHSTEP = EasingSpec(CUBIC_KIND, 0.0, 0.0, 1.0, 1.0)
+#: x slope 3e-7 at p = 0: never below 1e-12, yet inside the margin, so guarded.
+NEAR_FLAT = EasingSpec(CUBIC_KIND, 1e-7, 0.0, 0.5, 1.0)
 
 
 def de_casteljau(p, points):
@@ -123,7 +136,7 @@ def test_round_trip_on_dense_grid(spec):
     assert np.max(np.abs(forward - grid)) <= 1e-6
 
 
-@pytest.mark.parametrize("spec", [LINEAR, EASE], ids=["linear", "ease"])
+@pytest.mark.parametrize("spec", [LINEAR, EASE, EASE_IN], ids=["linear", "ease", "ease-in"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_inputs_are_out_of_range(spec, bad):
     # NaN fails every comparison, so the range check must be phrased as
@@ -139,10 +152,6 @@ def test_non_finite_inputs_are_out_of_range(spec, bad):
 def test_identity_bezier_matches_linear():
     grid = np.linspace(0.0, 1.0, 10_000)
     assert np.max(np.abs(evaluate_many(IDENTITY_BEZIER, grid) - grid)) <= 1e-6
-
-
-#: Zero slope at p = 0 on both axes, so a target of 0 takes the masked sweep.
-EASE_OUT = EasingSpec(CUBIC_KIND, 0.0, 0.0, 0.58, 1.0)
 
 
 def across_axes(solve, read, values):
@@ -201,7 +210,9 @@ def masked_newton_solve(coeffs, targets):
     return p
 
 
-@pytest.mark.parametrize("spec", [EASE, IDENTITY_BEZIER, EASE_OUT])
+@pytest.mark.parametrize(
+    "spec", [EASE, IDENTITY_BEZIER, EASE_OUT, EASE_IN, EASE_IN_OUT, SMOOTHSTEP, NEAR_FLAT]
+)
 def test_newton_trim_is_bit_identical(spec):
     rng = np.random.default_rng(20)
     targets = np.concatenate(([0.0, 1.0], rng.random(100_000)))
@@ -221,6 +232,78 @@ def test_newton_trim_is_bit_identical(spec):
             masked_newton_solve(coeffs, stray),
             equal_nan=True,
         )
+
+
+@pytest.mark.parametrize(
+    "spec, x_guarded, y_guarded",
+    [
+        (EASE, False, True),
+        (IDENTITY_BEZIER, False, False),
+        (EASE_OUT, True, True),
+        (EASE_IN, True, True),
+        (EASE_IN_OUT, False, True),
+        (SMOOTHSTEP, True, True),
+        (NEAR_FLAT, True, True),
+    ],
+    ids=["ease", "identity", "ease-out", "ease-in", "ease-in-out", "smoothstep", "near-flat"],
+)
+def test_slope_guard_runs_only_where_the_slope_can_vanish(monkeypatch, spec, x_guarded, y_guarded):
+    # The specs of test_newton_trim_is_bit_identical cover both branches. Inside
+    # the solver only the guard calls np.copyto.
+    copyto, calls = np.copyto, []
+    monkeypatch.setattr(np, "copyto", lambda *args, **kw: calls.append(args) or copyto(*args, **kw))
+    for (c1, c2), guarded in (((spec.x1, spec.x2), x_guarded), ((spec.y1, spec.y2), y_guarded)):
+        calls.clear()
+        _solve_monotone_cubic(_coefficients(c1, c2), np.linspace(0.0, 1.0, 101))
+        assert bool(calls) == guarded
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+def test_least_slope_never_exceeds_the_evaluated_slope(x1, x2):
+    # Up to rounding (about 1e-16 here), far below the guard's 1e-6 margin.
+    a, b, c = _coefficients(x1, x2)
+    grid = np.linspace(0.0, 1.0, 100_000)
+    assert _least_slope((a, b, c)) <= np.min((3.0 * a * grid + 2.0 * b) * grid + c) + 1e-12
+
+
+class TestInputContract:
+    SPECS = [LINEAR, EASE, EASE_IN]
+    IDS = ["linear", "ease", "ease-in"]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    @pytest.mark.parametrize("many", [evaluate_many, invert_many])
+    def test_empty_input_gives_empty_floats(self, spec, many):
+        for empty in ([], np.array([]), np.array([], dtype=int)):
+            out = many(spec, empty)
+            assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    @pytest.mark.parametrize("many", [evaluate_many, invert_many])
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0**-52], ids=["below", "above"])
+    def test_nearest_values_outside_are_refused(self, spec, many, bad):
+        # Non-finite values: test_non_finite_inputs_are_out_of_range.
+        for values in ([bad], [0.0, 0.5, bad, 1.0]):
+            with pytest.raises(RangeError):
+                many(spec, np.array(values))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    @pytest.mark.parametrize("many", [evaluate_many, invert_many])
+    def test_ends_map_exactly(self, spec, many):
+        out = many(spec, np.array([0.0, 1.0, 0.5, 1.0, 0.0]))
+        assert out[[0, 1, 3, 4]].tolist() == [0.0, 1.0, 1.0, 0.0]
+        if not spec.is_linear:
+            # The cubic writes the ends, so a negative zero comes out as +0.0.
+            assert not np.signbit(many(spec, np.array([-0.0]))[0])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    @pytest.mark.parametrize("many", [evaluate_many, invert_many])
+    def test_callers_array_is_left_alone(self, spec, many):
+        values = np.concatenate(([0.0, 1.0], np.random.default_rng(4).random(1000)))
+        before = values.copy()
+        out = many(spec, values)
+        assert np.array_equal(values, before)
+        assert not np.shares_memory(out, values)
 
 
 class TestVerifyMonotone:

@@ -403,6 +403,30 @@ class TestValidateSchedule:
         assert "initial-frame" in kinds
         assert "start-separation" in kinds
 
+    @pytest.mark.parametrize("eased", [1.25, -0.25], ids=["above", "below"])
+    def test_ratio_range_violations_are_reported(self, cross_layout, monkeypatch, eased):
+        # Edge (a, b) starts at 0 and (c, d) at 150; both animate for 2 100 ms on
+        # a 1 ms grid. So batch index 2 is (a, b) at t = 3 (index 9, at t = 10,
+        # is not listed: one violation per entry) and the last is (c, d) at
+        # t = 2 249.
+        schedule = compute_schedule(cross_layout, SLOWLIN)
+        assert [se.starts for se in schedule.edges] == [(0.0,), (150.0,)]
+        real = scheduling.evaluate_many
+
+        def off_the_curve(spec, fracs):
+            out = real(spec, fracs)
+            out[[2, 9, -1]] = eased
+            return out
+
+        monkeypatch.setattr(scheduling, "evaluate_many", off_the_curve)
+        report = validate_schedule(cross_layout, SLOWLIN, schedule)
+        ratio = SLOWLIN.delta0 + SLOWLIN.ratio_span * eased
+        assert report.violation_counts == (("ratio-range", 2),)
+        assert report.violations == (
+            ScheduleViolation("ratio-range", 3.0, (("a", "b"),), f"ratio {ratio}"),
+            ScheduleViolation("ratio-range", 2249.0, (("c", "d"),), f"ratio {ratio}"),
+        )
+
     def test_empty_schedule_passes(self, cross_layout):
         empty = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
         assert validate_schedule(cross_layout, SLOWLIN, empty).passed

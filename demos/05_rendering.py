@@ -18,9 +18,8 @@ from edgemorph import (
     PRESETS,
     compute_schedule,
     export_animation,
-    frame_to_svg,
-    sample_frame,
 )
+from edgemorph.render import frame_texts
 
 out_dir = Path(__file__).resolve().parent / "out" / "rendering"
 
@@ -37,9 +36,9 @@ cfg = PRESETS["sloweas"]
 schedule = compute_schedule(layout, cfg)
 
 # A single mid-animation frame as text.
-frame = sample_frame(layout, cfg, schedule, schedule.makespan / 2.0)
-svg = frame_to_svg(frame)
-print(f"frame at {frame.timestamp:.0f} ms: {svg.count('<line')} line elements, "
+t = schedule.makespan / 2.0
+(svg,) = frame_texts(layout, cfg, schedule, [t])
+print(f"frame at {t:.0f} ms: {svg.count('<line')} line elements, "
       f"{svg.count('<circle')} node disks")
 
 # The full frame sequence plus the animated document.
@@ -49,7 +48,7 @@ print("open the animation in any browser:")
 print(f"  {written[-1]}")
 
 # Region-count trials highlight whole node groups with a translucent tint.
-tinted = frame_to_svg(frame, regions=(("a", "c"), ("b", "d")))
+(tinted,) = frame_texts(layout, cfg, schedule, [t], regions=(("a", "c"), ("b", "d")))
 tinted_path = out_dir / "regions.svg"
 tinted_path.write_text(tinted, encoding="utf-8")
 print(f"region-tinted frame: {tinted_path}")

@@ -54,12 +54,9 @@ from .kinematics import (
 )
 from .render import (
     DEFAULT_STYLE,
-    FrameGeometry,
     RenderStyle,
     export_animation,
     frame_timestamps,
-    frame_to_svg,
-    sample_frame,
 )
 from .scheduling import (
     Schedule,

@@ -158,7 +158,7 @@ def _across_curve(spec: EasingSpec, values, inverse: bool, what: str) -> np.ndar
         return v.copy()
     x, y = _coefficients(spec.x1, spec.x2), _coefficients(spec.y1, spec.y2)
     solve, read = (y, x) if inverse else (x, y)
-    out = _cubic(read, _solve_monotone_cubic(solve, v))
+    out = _cubic(read, _solve_monotone_cubic(solve, np.atleast_1d(v))).reshape(v.shape)
     np.clip(out, 0.0, 1.0, out=out)
     np.copyto(out, 0.0, where=v == 0.0)  # not v itself: -0.0 maps to 0.0
     np.copyto(out, 1.0, where=v == 1.0)
@@ -175,7 +175,7 @@ def evaluate_many(spec: EasingSpec, time_fracs) -> np.ndarray:
 
 def evaluate(spec: EasingSpec, time_frac: float) -> float:
     """Progress reached after the given fraction of the morph time."""
-    return float(evaluate_many(spec, np.array([time_frac]))[0])
+    return float(evaluate_many(spec, time_frac))
 
 
 def invert_many(spec: EasingSpec, progresses) -> np.ndarray:
@@ -189,7 +189,7 @@ def invert_many(spec: EasingSpec, progresses) -> np.ndarray:
 
 def invert(spec: EasingSpec, progress: float) -> float:
     """Time fraction at which the given progress is reached."""
-    return float(invert_many(spec, np.array([progress]))[0])
+    return float(invert_many(spec, progress))
 
 
 @dataclass(frozen=True)

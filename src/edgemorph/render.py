@@ -1,10 +1,10 @@
 """Frame sampling and SVG output for scheduled drawings.
 
 Rendering is a pure function of layout, configuration, schedule, timestamp,
-and style: identical inputs give byte-identical documents. Nodes are drawn as
-filled disks over the edge stubs on a white background; the drawing area is
-the node bounding box plus a 10 px margin. Coordinates are written with three
-decimal places.
+style and region groups: identical inputs give byte-identical documents. Nodes
+are drawn as filled disks over the edge stubs on a white background; the
+drawing area is the node bounding box plus a 10 px margin. Coordinates are
+written with three decimal places.
 
 Every path samples stub ratios through
 :func:`~edgemorph.kinematics.stub_ratio_matrix`, on the one stub-ratio kernel
@@ -16,13 +16,13 @@ Each piece of text has one writer, and every number one format,
 :data:`_NUMBER`. :func:`_anchored` opens every edge line with its end left as
 ``%`` slots; :func:`_edge_templates` makes each edge's full line and two-stub
 template from it, and :func:`_edge_texts` picks between them.
-:func:`_document_ends` writes the root element, background and node disks.
-:func:`frame_texts` writes frames in blocks straight from the tip arrays, with
-no per-frame objects, for the frames export and ``render --frame-at`` alike;
-:func:`frame_to_svg` writes the frame of :func:`sample_frame` through the same
-templates. The animated export embeds per-stub tip keyframes, sampled at the
-configured frame rate, as declarative animation elements in one
-self-contained SVG, so linear and cubic easing share a single export path.
+:func:`_document_ends` writes the root element, background, region halos and
+node disks. :func:`frame_texts`, the one frame writer, writes frames in blocks
+straight from the tip arrays, with no per-frame objects, for the frames export,
+``render --frame-at`` and region-tinted trial frames alike. The animated export
+embeds per-stub tip keyframes, sampled at the configured frame rate, as
+declarative animation elements in one self-contained SVG, so linear and cubic
+easing share a single export path.
 
 Most edge-frames rest at exactly ``cfg.delta0``, and a line's text depends
 only on its edge and ratio. Each export therefore formats every edge's resting
@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .graph import GraphLayout, NodeSpec, Point, StubPair
+from .graph import GraphLayout, NodeSpec, Point
 from .kinematics import AnimationConfig, stub_ratio_matrix
 from .scheduling import Schedule
 
@@ -79,15 +79,6 @@ class RenderStyle:
 
 
 DEFAULT_STYLE = RenderStyle()
-
-
-@dataclass(frozen=True)
-class FrameGeometry:
-    """Resolved geometry of one frame: stub pairs per edge, disks per node."""
-
-    timestamp: float
-    stubs: tuple[StubPair, ...]
-    nodes: tuple[NodeSpec, ...]
 
 
 def _stub_ratios(
@@ -137,21 +128,6 @@ def _over_resting(resting: list[str], moving: np.ndarray, texts: list[str]) -> n
     return grid
 
 
-def sample_frame(
-    layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, t: float
-) -> FrameGeometry:
-    """Geometry at an absolute time; edges without a live animation rest."""
-    ratios = _stub_ratios(layout, cfg, schedule, [t])
-    columns = (a[:, 0].tolist() for a in (ratios, *_tips(layout, ratios)))
-    stubs = tuple(
-        StubPair(edge, r, (source, (x1, y1)), (target, (x2, y2)))
-        for edge, (source, target), r, x1, y1, x2, y2 in zip(
-            layout.edges, map(layout.endpoints, layout.edges), *columns
-        )
-    )
-    return FrameGeometry(timestamp=t, stubs=stubs, nodes=layout.nodes)
-
-
 #: The format of every number in a document: three decimal places.
 _NUMBER = "%.3f"
 _fmt = _NUMBER.__mod__
@@ -167,8 +143,15 @@ def _view_box(nodes: tuple[NodeSpec, ...]) -> tuple[float, float, float, float]:
     return (min_x, min_y, max_x - min_x, max_y - min_y)
 
 
-def _document_ends(nodes: tuple[NodeSpec, ...], style: RenderStyle) -> tuple[str, str]:
-    """The text before the body (root element, background) and after it (nodes)."""
+def _document_ends(
+    nodes: tuple[NodeSpec, ...], style: RenderStyle, regions: tuple[tuple[str, ...], ...] = ()
+) -> tuple[str, str]:
+    """The text before the body (root element, background, region halos) and after
+    it (node disks). A region id that names no node raises UsageError."""
+    by_id = {n.id: n for n in nodes}
+    unknown = sorted({i for region in regions for i in region} - by_id.keys())
+    if unknown:
+        raise UsageError(f"regions name nodes not in the frame: {unknown}")
     x, y, w, h = _view_box(nodes)
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -176,13 +159,19 @@ def _document_ends(nodes: tuple[NodeSpec, ...], style: RenderStyle) -> tuple[str
         f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
         f'fill="{style.background}"/>'
     )
+    halos = [
+        f'<circle cx="{_fmt(n.x)}" cy="{_fmt(n.y)}" r="{_fmt(style.region_halo_radius)}" '
+        f'fill="{style.region_tint}" fill-opacity="{_fmt(style.region_tint_opacity)}"/>'
+        for region in regions
+        for n in map(by_id.__getitem__, region)
+    ]
     circles = [
         f'<circle cx="{_fmt(n.x)}" cy="{_fmt(n.y)}" r="{_fmt(style.node_radius)}" '
         f'fill="{style.node_fill(n)}" stroke="{style.stroke}" '
         f'stroke-width="{_fmt(style.stroke_width)}"/>'
         for n in nodes
     ]
-    return head, "\n".join([*circles, "</svg>"]) + "\n"
+    return "\n".join([head, *halos]), "\n".join([*circles, "</svg>"]) + "\n"
 
 
 def _document(ends: tuple[str, str], body: list[str]) -> str:
@@ -223,37 +212,6 @@ def _edge_texts(templates: tuple[list[str], list[str]], cells: Iterable) -> list
     ]
 
 
-def frame_to_svg(
-    frame: FrameGeometry,
-    style: RenderStyle = DEFAULT_STYLE,
-    regions: tuple[tuple[str, ...], ...] = (),
-) -> str:
-    """Deterministic SVG text for one frame.
-
-    A fully drawn edge collapses to a single line spanning its endpoints; any
-    partial ratio draws the two stubs separately. Optional region node-id
-    groups get a translucent halo behind their nodes, drawn below everything
-    else but the background; a region id that names no node of the frame
-    raises UsageError.
-    """
-    by_id = {n.id: n for n in frame.nodes}
-    unknown = sorted({i for region in regions for i in region} - by_id.keys())
-    if unknown:
-        raise UsageError(f"regions name nodes not in the frame: {unknown}")
-    body = [
-        f'<circle cx="{_fmt(node.x)}" cy="{_fmt(node.y)}" '
-        f'r="{_fmt(style.region_halo_radius)}" fill="{style.region_tint}" '
-        f'fill-opacity="{_fmt(style.region_tint_opacity)}"/>'
-        for region in regions
-        for node in map(by_id.__getitem__, region)
-    ]
-    stubs = frame.stubs
-    anchors = [(s.segment_source[0], s.segment_target[0]) for s in stubs]
-    cells = ((i, s.ratio, *s.segment_source[1], *s.segment_target[1]) for i, s in enumerate(stubs))
-    body += _edge_texts(_edge_templates(anchors, style), cells)
-    return _document(_document_ends(frame.nodes, style), body)
-
-
 def frame_timestamps(makespan: float, fps: float) -> list[float]:
     """Sampling times k * 1000 / fps ms for k = 0 .. ceil(makespan * fps / 1000).
 
@@ -275,10 +233,13 @@ def frame_texts(
     schedule: Schedule,
     times: Sequence[float],
     style: RenderStyle = DEFAULT_STYLE,
+    regions: tuple[tuple[str, ...], ...] = (),
 ) -> Iterator[str]:
     """SVG text of the frame at each time, sampled :data:`FRAME_BLOCK` frames
-    at a time; each block formats only its moving edge-frames."""
-    ends = _document_ends(layout.nodes, style)
+    at a time; each block formats only its moving edge-frames. Each node of the
+    ``regions`` id groups gets a translucent halo under every edge, written once
+    into the document head; an id that names no node raises UsageError."""
+    ends = _document_ends(layout.nodes, style, regions)
     templates = _edge_templates([layout.endpoints(edge) for edge in layout.edges], style)
     rest = enumerate(_resting_tips(layout, cfg))
     resting = _edge_texts(templates, ((i, cfg.delta0, *tips) for i, tips in rest))

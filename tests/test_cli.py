@@ -511,14 +511,15 @@ class TestRender:
     def test_schedule_roundtrip_renders_identically(
         self, layout_file, schedule_file, tmp_path
     ):
-        from edgemorph import PRESETS, compute_schedule, frame_to_svg, sample_frame
+        from edgemorph import PRESETS, compute_schedule
+        from edgemorph.render import frame_texts
 
         layout = parse_layout(layout_file.read_bytes())
         direct = compute_schedule(layout, PRESETS["slowlin"])
         reread = parse_schedule(schedule_file.read_bytes())
         for t in (0.0, 137.0, 1050.0, 2249.0):
-            a = frame_to_svg(sample_frame(layout, direct.config, direct, t))
-            b = frame_to_svg(sample_frame(layout, reread.config, reread, t))
+            (a,) = frame_texts(layout, direct.config, direct, [t])
+            (b,) = frame_texts(layout, reread.config, reread, [t])
             assert a == b
 
     def test_frame_ceiling_is_domain_error(self, layout_file, tmp_path, capsys):

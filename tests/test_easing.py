@@ -305,6 +305,18 @@ class TestInputContract:
         assert np.array_equal(values, before)
         assert not np.shares_memory(out, values)
 
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    @pytest.mark.parametrize("many", [evaluate_many, invert_many])
+    @pytest.mark.parametrize(
+        "value", [0.5, np.array(0.5), 0.0, 1.0], ids=["float", "0-d", "zero", "one"]
+    )
+    def test_zero_d_input_gives_zero_d_result(self, spec, many, value):
+        out = many(spec, value)
+        assert isinstance(out, np.ndarray) and out.ndim == 0 and out.dtype == np.float64
+        assert out.tobytes() == many(spec, np.array([float(value)])).tobytes()
+        scalar = evaluate if many is evaluate_many else invert
+        assert np.float64(scalar(spec, float(value))).tobytes() == out.tobytes()
+
 
 class TestVerifyMonotone:
     def test_linear_passes(self):

@@ -23,15 +23,13 @@ from edgemorph import (
     compute_schedule,
     export_animation,
     frame_timestamps,
-    frame_to_svg,
     parse_layout,
-    sample_frame,
     stub_pair,
 )
 from edgemorph.easing import evaluate
 from edgemorph.kinematics import stub_ratio_matrix
 import edgemorph.render as render
-from edgemorph.render import MAX_FRAMES
+from edgemorph.render import MAX_FRAMES, frame_texts
 from edgemorph.scheduling import sample_ratio_series
 from conftest import DATA_DIR
 from gen_layouts import k4_square
@@ -53,7 +51,35 @@ def golden_fixture_svg():
     """Mid-animation frame of the five-node layout."""
     layout = five_node_layout()
     schedule = compute_schedule(layout, SLOWLIN)
-    return frame_to_svg(sample_frame(layout, SLOWLIN, schedule, 400.0))
+    (svg,) = frame_texts(layout, SLOWLIN, schedule, [400.0])
+    return svg
+
+
+def kernel_entries(layout, schedule):
+    """Per layout edge, its animation and starts, or None when unscheduled."""
+    by_key = schedule.starts_by_key()
+    return [
+        (by_key[e.key].animation, by_key[e.key].starts) if e.key in by_key else None
+        for e in layout.edges
+    ]
+
+
+def ratios_at(layout, cfg, schedule, t):
+    """Each edge's stub ratio at one time, by key, from the kernel render draws from."""
+    column = stub_ratio_matrix(cfg, kernel_entries(layout, schedule), [t])[:, 0]
+    return {edge.key: r for edge, r in zip(layout.edges, column.tolist())}
+
+
+def frame_at(layout, schedule, t, **kwargs):
+    (svg,) = frame_texts(layout, schedule.config, schedule, [t], **kwargs)
+    return svg
+
+
+HALO = 'fill="#ffd54d"'
+
+
+def halo_lines(svg):
+    return [line for line in svg.split("\n") if HALO in line]
 
 
 @pytest.fixture
@@ -62,40 +88,34 @@ def cross_schedule(cross_layout):
 
 
 class TestSampleFrame:
+    """Ratios at single times, as render samples them for one frame."""
+
     def test_before_any_start_everything_rests(self, cross_layout, cross_schedule):
-        frame = sample_frame(cross_layout, SLOWLIN, cross_schedule, 0.0)
-        assert all(stub.ratio == 0.25 for stub in frame.stubs)
+        ratios = ratios_at(cross_layout, SLOWLIN, cross_schedule, 0.0)
+        assert all(r == 0.25 for r in ratios.values())
 
     def test_hold_phase_is_fully_drawn(self, cross_layout, cross_schedule):
-        frame = sample_frame(cross_layout, SLOWLIN, cross_schedule, 1050.0)
-        by_key = {stub.edge.key: stub.ratio for stub in frame.stubs}
-        assert by_key[("a", "b")] == 0.5
+        ratios = ratios_at(cross_layout, SLOWLIN, cross_schedule, 1050.0)
+        assert ratios[("a", "b")] == 0.5
 
     def test_after_makespan_everything_rests(self, cross_layout, cross_schedule):
-        frame = sample_frame(
-            cross_layout, SLOWLIN, cross_schedule, cross_schedule.makespan + 1.0
-        )
-        assert all(stub.ratio == 0.25 for stub in frame.stubs)
+        ratios = ratios_at(cross_layout, SLOWLIN, cross_schedule, cross_schedule.makespan + 1.0)
+        assert all(r == 0.25 for r in ratios.values())
 
     def test_ratios_always_in_bounds(self, cross_layout, cross_schedule):
         for t in range(0, int(cross_schedule.makespan) + 2, 7):
-            frame = sample_frame(cross_layout, SLOWLIN, cross_schedule, float(t))
-            for stub in frame.stubs:
-                assert 0.25 <= stub.ratio <= 0.5
+            ratios = ratios_at(cross_layout, SLOWLIN, cross_schedule, float(t))
+            assert all(0.25 <= r <= 0.5 for r in ratios.values())
 
     def test_millisecond_sweep_matches_validator_series(
         self, cross_layout, cross_schedule
     ):
         times = np.arange(0.0, cross_schedule.makespan + 1.0, 1.0)
-        by_key = cross_schedule.starts_by_key()
         for se in cross_schedule.edges:
             series = sample_ratio_series(se.animation, se.starts, SLOWLIN, times)
             for i in (0, 150, 999, 1000, 1500, 2000, len(times) - 1):
-                frame = sample_frame(cross_layout, SLOWLIN, cross_schedule, float(times[i]))
-                frame_ratio = {s.edge.key: s.ratio for s in frame.stubs}[
-                    se.animation.edge.key
-                ]
-                assert frame_ratio == float(series[i])
+                ratios = ratios_at(cross_layout, SLOWLIN, cross_schedule, float(times[i]))
+                assert ratios[se.animation.edge.key] == float(series[i])
 
     def test_repeated_animation_uses_latest_start(self, cross_layout):
         cfg = replace(SLOWLIN, horizon=7000.0)
@@ -103,38 +123,38 @@ class TestSampleFrame:
         se = schedule.starts_by_key()[("a", "b")]
         assert len(se.starts) >= 2
         second_start = se.starts[1]
-        frame = sample_frame(cross_layout, cfg, schedule, second_start + se.animation.tau)
-        ratio = {s.edge.key: s.ratio for s in frame.stubs}[("a", "b")]
-        assert ratio == 0.5
+        ratios = ratios_at(cross_layout, cfg, schedule, second_start + se.animation.tau)
+        assert ratios[("a", "b")] == 0.5
 
 
 class TestFrameToSvg:
+    """One frame's text, through the frame writer ``frame_texts``."""
+
     def test_byte_identical(self, cross_layout, cross_schedule):
-        first = frame_to_svg(sample_frame(cross_layout, SLOWLIN, cross_schedule, 321.0))
-        second = frame_to_svg(sample_frame(cross_layout, SLOWLIN, cross_schedule, 321.0))
+        first = frame_at(cross_layout, cross_schedule, 321.0)
+        second = frame_at(cross_layout, cross_schedule, 321.0)
         assert first == second
 
     def test_empty_graph_document(self):
         layout = GraphLayout((), ())
         schedule = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
-        svg = frame_to_svg(sample_frame(layout, SLOWLIN, schedule, 0.0))
+        svg = frame_at(layout, schedule, 0.0)
         assert svg.count("<line") == 0
         assert svg.count("<circle") == 0
         assert '<rect' in svg and 'fill="#ffffff"' in svg
 
     def test_fully_drawn_edge_is_one_line(self, cross_layout, cross_schedule):
-        frame = sample_frame(cross_layout, SLOWLIN, cross_schedule, 1050.0)
-        svg = frame_to_svg(frame)
+        svg = frame_at(cross_layout, cross_schedule, 1050.0)
         # edge a-b is at full extension, edge c-d still partial: 1 + 2 lines
         assert svg.count("<line") == 3
         assert '<line x1="0.000" y1="0.000" x2="400.000" y2="0.000"' in svg
 
     def test_partial_edges_are_two_lines_each(self, cross_layout, cross_schedule):
-        svg = frame_to_svg(sample_frame(cross_layout, SLOWLIN, cross_schedule, 0.0))
+        svg = frame_at(cross_layout, cross_schedule, 0.0)
         assert svg.count("<line") == 4
 
     def test_nodes_drawn_after_edges(self, cross_layout, cross_schedule):
-        svg = frame_to_svg(sample_frame(cross_layout, SLOWLIN, cross_schedule, 0.0))
+        svg = frame_at(cross_layout, cross_schedule, 0.0)
         assert svg.rindex("<line") < svg.index("<circle")
 
     def test_style_colors(self, k4_layout):
@@ -142,26 +162,39 @@ class TestFrameToSvg:
 
         layout = with_color_roles(k4_layout, blue=["p"], orange=["q"])
         schedule = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
-        svg = frame_to_svg(sample_frame(layout, SLOWLIN, schedule, 0.0))
+        svg = frame_at(layout, schedule, 0.0)
         assert 'fill="#1f77b4"' in svg
         assert 'fill="#ff7f0e"' in svg
         assert 'fill="#808080"' in svg
 
     def test_region_tint_halos(self, k4_layout):
         schedule = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
-        frame = sample_frame(k4_layout, SLOWLIN, schedule, 0.0)
-        svg = frame_to_svg(frame, regions=(("p", "q"), ("r",)))
-        assert svg.count('fill="#ffd54d"') == 3
+        svg = frame_at(k4_layout, schedule, 0.0, regions=(("p", "q"), ("r",)))
+        assert svg.count(HALO) == 3
+        # the halos lie between the background and the first edge
+        lines = svg.split("\n")
+        first_halo = lines.index(halo_lines(svg)[0])
+        first_line = next(k for k, line in enumerate(lines) if line.startswith("<line"))
+        assert lines[first_halo - 1].startswith("<rect")
+        assert lines[first_halo:first_line] == [
+            '<circle cx="0.000" cy="0.000" r="14.000" fill="#ffd54d" fill-opacity="0.350"/>',
+            '<circle cx="100.000" cy="0.000" r="14.000" fill="#ffd54d" fill-opacity="0.350"/>',
+            '<circle cx="100.000" cy="100.000" r="14.000" fill="#ffd54d" fill-opacity="0.350"/>',
+        ]
+        plain = frame_at(k4_layout, schedule, 0.0)
+        assert "\n".join(lines[:first_halo] + lines[first_line:]) == plain
 
     def test_region_with_unknown_node_is_usage_error(self, k4_layout):
         schedule = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
-        frame = sample_frame(k4_layout, SLOWLIN, schedule, 0.0)
-        with pytest.raises(UsageError, match="nope"):
-            frame_to_svg(frame, regions=(("p",), ("q", "nope")))
+        regions = (("p",), ("q", "nope"))
+        frames = frame_texts(k4_layout, SLOWLIN, schedule, [0.0, 100.0], regions=regions)
+        # raised by the first next(), before any frame is yielded
+        with pytest.raises(UsageError, match=r"^regions name nodes not in the frame: \['nope'\]$"):
+            next(frames)
 
     def test_stub_union_covers_segment_at_half(self, cross_layout, cross_schedule):
-        frame = sample_frame(cross_layout, SLOWLIN, cross_schedule, 1050.0)
-        stub = {s.edge.key: s for s in frame.stubs}[("a", "b")]
+        ratio = ratios_at(cross_layout, SLOWLIN, cross_schedule, 1050.0)[("a", "b")]
+        stub = stub_pair(cross_layout, ("a", "b"), ratio)
         sx, sy = stub.segment_source[1]
         tx, ty = stub.segment_target[1]
         assert abs(sx - tx) <= 1e-6 and abs(sy - ty) <= 1e-6
@@ -169,6 +202,30 @@ class TestFrameToSvg:
     def test_golden_five_node_fixture(self):
         svg = golden_fixture_svg()
         assert svg == GOLDEN.read_text(encoding="utf-8")
+
+
+class TestRegionHalos:
+    """Region halos are written once, into the head every frame shares."""
+
+    def test_every_frame_of_a_long_export_carries_the_same_halos(self):
+        layout, cfg, schedule = multi_start_schedule("sloweas", True)
+        times = frame_timestamps(schedule.makespan, cfg.fps)
+        assert len(times) > render.FRAME_BLOCK
+        tinted = list(frame_texts(layout, cfg, schedule, times, regions=(("p", "t"), ("r",))))
+        plain = list(frame_texts(layout, cfg, schedule, times))
+        halos = halo_lines(tinted[0])
+        assert len(halos) == 3
+        for svg, untinted in zip(tinted, plain, strict=True):
+            assert halo_lines(svg) == halos
+            assert "\n".join(line for line in svg.split("\n") if HALO not in line) == untinted
+
+    def test_no_regions_equals_the_exported_frames(self, tmp_path):
+        layout, cfg, schedule = multi_start_schedule("fasteas", False)
+        times = frame_timestamps(schedule.makespan, cfg.fps)
+        written = export_animation(layout, cfg, schedule, tmp_path)
+        texts = frame_texts(layout, cfg, schedule, times, regions=())
+        for path, text in zip(written, texts, strict=True):
+            assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestExport:
@@ -191,7 +248,7 @@ class TestExport:
         written = export_animation(
             cross_layout, SLOWLIN, cross_schedule, tmp_path / "frames"
         )
-        static = frame_to_svg(sample_frame(cross_layout, SLOWLIN, cross_schedule, 0.0))
+        static = frame_at(cross_layout, cross_schedule, 0.0)
         assert written[0].read_text(encoding="utf-8") == static
 
     def test_animated_document(self, tmp_path, cross_layout, cross_schedule):
@@ -305,21 +362,18 @@ def test_ratio_kernel_equals_scalar_definition(preset, keep_every_edge):
     by_key = schedule.starts_by_key()
     scheduled = [by_key.get(edge.key) for edge in layout.edges]
     times = boundary_times(schedule)
-    matrix = stub_ratio_matrix(
-        cfg, [None if se is None else (se.animation, se.starts) for se in scheduled], times
-    )
+    entries = kernel_entries(layout, schedule)
+    matrix = stub_ratio_matrix(cfg, entries, times)
     expected = [[scalar_ratio(cfg, se, t) for t in times] for se in scheduled]
     assert matrix.tolist() == expected
     # every phase of the piecewise definition is exercised
     flat = matrix.ravel()
     assert np.any(flat == cfg.delta0) and np.any(flat == 0.5)
     assert np.any((flat > cfg.delta0) & (flat < 0.5))
+    # a one-time grid, as for a single frame, samples the same column
     for col in range(0, len(times), 11):
-        frame = sample_frame(layout, cfg, schedule, times[col])
-        assert [stub.ratio for stub in frame.stubs] == matrix[:, col].tolist()
-        assert frame.stubs == tuple(
-            stub_pair(layout, edge, stub.ratio) for edge, stub in zip(layout.edges, frame.stubs)
-        )
+        column = stub_ratio_matrix(cfg, entries, [times[col]])
+        assert column[:, 0].tolist() == matrix[:, col].tolist()
 
 
 def overlapping_schedule():
@@ -399,18 +453,51 @@ _ANIMATED_STUB = re.compile(
 )
 
 
+def reference_line(p1, p2, style, children=""):
+    """The f-string line writer that the line templates replaced."""
+    line = (
+        f'<line x1="{p1[0]:.3f}" y1="{p1[1]:.3f}" x2="{p2[0]:.3f}" y2="{p2[1]:.3f}" '
+        f'stroke="{style.stroke}" stroke-width="{style.stroke_width:.3f}"'
+    )
+    return f"{line}>{children}</line>" if children else f"{line}/>"
+
+
+def reference_stubs(layout, cfg, schedule):
+    """Per export frame, each edge's ``graph.stub_pair`` at the kernel's ratio."""
+    times = frame_timestamps(schedule.makespan, cfg.fps)
+    ratios = stub_ratio_matrix(cfg, kernel_entries(layout, schedule), times)
+    return [
+        [stub_pair(layout, edge, r) for edge, r in zip(layout.edges, column)]
+        for column in ratios.T.tolist()
+    ]
+
+
+def reference_frames(layout, cfg, schedule, style=render.DEFAULT_STYLE):
+    """Each export frame's text from :func:`reference_stubs`, written with
+    :func:`reference_line`: the code under test shares only the ratio kernel."""
+    head, tail = reference_ends(layout.nodes, style)
+    for stubs in reference_stubs(layout, cfg, schedule):
+        body = []
+        for stub in stubs:
+            (source, x1y1), (target, x2y2) = stub.segment_source, stub.segment_target
+            if stub.ratio >= 0.5 - 1e-12:
+                body.append(reference_line(source, target, style))
+            else:
+                body.append(
+                    f"{reference_line(source, x1y1, style)}\n{reference_line(target, x2y2, style)}"
+                )
+        yield "\n".join([head, *body, tail])
+
+
 @pytest.mark.parametrize("case", [*KERNEL_CASES, *SAMPLE_CASES], ids=case_id)
 def test_animated_keyframes_equal_sampled_tips(tmp_path, case):
     layout, cfg, schedule = case_schedule(case)
     (path,) = export_animation(layout, cfg, schedule, tmp_path, frames=False, animated=True)
     stubs = _ANIMATED_STUB.findall(path.read_text(encoding="utf-8"))
-    times = frame_timestamps(schedule.makespan, cfg.fps)
-    frames = [sample_frame(layout, cfg, schedule, t) for t in times]
+    frames = reference_stubs(layout, cfg, schedule)
     assert len(stubs) == 2 * len(layout.edges)
     for i in range(len(layout.edges)):
-        tips = [
-            (f.stubs[i].segment_source[1], f.stubs[i].segment_target[1]) for f in frames
-        ]
+        tips = [(f[i].segment_source[1], f[i].segment_target[1]) for f in frames]
         (x1, y1, source_x, source_y), (x2, y2, target_x, target_y) = (
             (x, y, xs.split(";"), ys.split(";")) for x, y, xs, ys in stubs[2 * i : 2 * i + 2]
         )
@@ -426,29 +513,17 @@ def test_animated_keyframes_equal_sampled_tips(tmp_path, case):
     "case", ["cross", *KERNEL_CASES, "overlapping", *SAMPLE_CASES], ids=case_id
 )
 def test_exported_frames_match_resampling(tmp_path, cross_layout, case):
-    """Every frame file equals the single-frame path at its time: eased,
-    multi-start, missing edges, overlapping starts, and the sample layout,
-    where most edge-frames rest."""
+    """Every frame file equals the stub-pair reference frame at its time:
+    eased, multi-start, missing edges, overlapping starts, and the sample
+    layout, where most edge-frames rest."""
     if case == "cross":
         layout, cfg = cross_layout, SLOWLIN
         schedule = compute_schedule(layout, cfg)
     else:
         layout, cfg, schedule = case_schedule(case)
     written = export_animation(layout, cfg, schedule, tmp_path / "frames")
-    times = frame_timestamps(schedule.makespan, cfg.fps)
-    assert len(written) == len(times)
-    for path, t in zip(written, times):
-        expected = frame_to_svg(sample_frame(layout, cfg, schedule, t))
+    for path, expected in zip(written, reference_frames(layout, cfg, schedule), strict=True):
         assert path.read_text(encoding="utf-8") == expected
-
-
-def reference_line(p1, p2, style, children=""):
-    """The f-string line writer that the line templates replaced."""
-    line = (
-        f'<line x1="{p1[0]:.3f}" y1="{p1[1]:.3f}" x2="{p2[0]:.3f}" y2="{p2[1]:.3f}" '
-        f'stroke="{style.stroke}" stroke-width="{style.stroke_width:.3f}"'
-    )
-    return f"{line}>{children}</line>" if children else f"{line}/>"
 
 
 def reference_ends(nodes, style):
@@ -474,12 +549,7 @@ def reference_export(layout, cfg, schedule, style):
     """Every frame's text, then the animated document, written with f-strings
     from the public ratio kernel and the affine tips (1 - r) a + r b."""
     times = frame_timestamps(schedule.makespan, cfg.fps)
-    by_key = schedule.starts_by_key()
-    entries = [
-        (by_key[e.key].animation, by_key[e.key].starts) if e.key in by_key else None
-        for e in layout.edges
-    ]
-    ratios = stub_ratio_matrix(cfg, entries, times)
+    ratios = stub_ratio_matrix(cfg, kernel_entries(layout, schedule), times)
     anchors = [layout.endpoints(e) for e in layout.edges]
     sx, sy, tx, ty = np.array(anchors).reshape(-1, 4).T[:, :, None]
     rest = 1.0 - ratios

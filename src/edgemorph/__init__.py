@@ -11,15 +11,12 @@ sampling validator, task trials with scoring, and SVG output.
 from .crossings import AvoidableCrossing, find_avoidable_crossings, segment_intersection
 from .easing import (
     EASE,
-    IDENTITY_BEZIER,
     LINEAR,
     EasingSpec,
-    MonotoneReport,
     easing_to_string,
     evaluate,
     invert,
     parse_easing,
-    verify_monotone,
 )
 from .errors import (
     ConfigError,

@@ -12,6 +12,12 @@ bit for bit: ``ease`` skips it solving x; ``ease-in``, flat at 1, keeps it.
 
 Evaluation and inversion are exact at the interval boundaries: 0 maps to 0 and
 1 maps to 1 without touching the solver.
+
+A cubic is valid by construction, so no curve is sampled before use: with all
+four inner controls in [0, 1] (x here, y in the animation config) both axes
+strictly increase. An axis's slope over 3 is linear in its two controls, and at
+the corners of that box it is p^2, (1 - 2p)^2, 2p(1 - p) and (1 - p)^2, so it
+is never negative and vanishes only at isolated p.
 """
 
 from __future__ import annotations
@@ -32,9 +38,6 @@ _NEWTON_ITERATIONS = 8
 _BISECTION_ITERATIONS = 48
 _SLOPE_MARGIN = 1e-6  # least slope, per unit of coefficient size, that skips the guard
 
-#: Grid size used by verify_monotone and the documented round-trip guarantees.
-MONOTONE_GRID = 10_000
-
 
 @dataclass(frozen=True)
 class EasingSpec:
@@ -42,9 +45,8 @@ class EasingSpec:
 
     For the cubic kind the inner control points are (x1, y1) and (x2, y2);
     x1 and x2 must lie in [0, 1] so the curve is a function of the time
-    fraction. The y values are unconstrained here so that a candidate curve
-    can still be inspected by :func:`verify_monotone`; configurations reject
-    curves whose progress leaves [0, 1] or is not strictly increasing.
+    fraction. y1 and y2 are checked by :class:`~edgemorph.kinematics.AnimationConfig`,
+    which keeps them in [0, 1]; inside that box the curve strictly increases.
     """
 
     kind: str
@@ -69,9 +71,6 @@ class EasingSpec:
 LINEAR = EasingSpec(LINEAR_KIND)
 #: The standard web easing curve, cubic-bezier(0.25, 0.1, 0.25, 1).
 EASE = EasingSpec(CUBIC_KIND, 0.25, 0.1, 0.25, 1.0)
-
-#: A cubic parameterization of the identity, useful for consistency checks.
-IDENTITY_BEZIER = EasingSpec(CUBIC_KIND, 1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)
 
 
 def _coefficients(c1: float, c2: float) -> tuple[float, float, float]:
@@ -190,51 +189,6 @@ def invert_many(spec: EasingSpec, progresses) -> np.ndarray:
 def invert(spec: EasingSpec, progress: float) -> float:
     """Time fraction at which the given progress is reached."""
     return float(invert_many(spec, progress))
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Outcome of sampling an easing curve for strict monotonicity."""
-
-    passed: bool
-    reason: str | None = None
-    grid_index: int | None = None
-    pair: tuple[float, float] | None = None
-
-
-def verify_monotone(spec: EasingSpec) -> MonotoneReport:
-    """Sample the curve on a uniform 10^4-point grid and check it is usable.
-
-    Passes iff the sampled progress stays inside [0, 1], is strictly
-    increasing, and is exact at the endpoints. Failures are reported, not
-    raised, so candidate curves can be inspected before acceptance.
-    """
-    if spec.is_linear:
-        return MonotoneReport(passed=True)
-    grid = np.linspace(0.0, 1.0, MONOTONE_GRID)
-    p = _solve_monotone_cubic(_coefficients(spec.x1, spec.x2), grid)
-    values = _cubic(_coefficients(spec.y1, spec.y2), p)
-    values[0] = 0.0
-    values[-1] = 1.0
-    out_of_range = (values < 0.0) | (values > 1.0)
-    if np.any(out_of_range):
-        i = int(np.argmax(out_of_range))
-        return MonotoneReport(
-            passed=False,
-            reason="progress leaves [0, 1]",
-            grid_index=i,
-            pair=(float(grid[i]), float(values[i])),
-        )
-    diffs = np.diff(values)
-    if np.any(diffs <= 0.0):
-        i = int(np.argmax(diffs <= 0.0))
-        return MonotoneReport(
-            passed=False,
-            reason="progress not strictly increasing",
-            grid_index=i,
-            pair=(float(values[i]), float(values[i + 1])),
-        )
-    return MonotoneReport(passed=True)
 
 
 def parse_easing(text: str) -> EasingSpec:

@@ -26,7 +26,6 @@ from .easing import (
     evaluate_many,
     invert,
     parse_easing,
-    verify_monotone,
 )
 from .errors import ConfigError, RangeError
 from .graph import EdgeSpec, GraphLayout, edge_length, json_number, json_object
@@ -58,7 +57,8 @@ class AnimationConfig:
     tau_half      hold time fully drawn, ms
     tau_distinct  minimum separation between animations and between two
                   edges' visits to a shared crossing point, ms
-    easing        progress curve, strictly increasing on [0, 1]
+    easing        progress curve; a cubic's y1 and y2 must lie in [0, 1],
+                  which keeps it strictly increasing (see edgemorph.easing)
     fps           frame rate used by rendering and export
     horizon       optional schedule length bound in ms; enables repeated
                   animations of each edge
@@ -97,9 +97,6 @@ class AnimationConfig:
                     raise ConfigError(
                         f"easing control {name}={value} outside [0, 1]"
                     )
-        report = verify_monotone(self.easing)
-        if not report.passed:
-            raise ConfigError(f"easing rejected: {report.reason}")
 
     @property
     def ratio_span(self) -> float:

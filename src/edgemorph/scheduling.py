@@ -136,7 +136,9 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     Deterministic: ties in morph duration break lexicographically by edge id,
     and repeat passes walk edges in the same order. Raises ConfigError when a
     horizon is too short for even a single animation of every edge, or so
-    long that the schedule would hold more than :data:`MAX_STARTS` starts.
+    long that the schedule would hold more than :data:`MAX_STARTS` starts,
+    and when the schedule would end at or past :data:`MAX_SAMPLES` ms, beyond
+    the 1 ms grid of :func:`validate_schedule`.
     """
     edges = layout.edges
     animations = [edge_animation(e, layout, cfg) for e in edges]
@@ -228,6 +230,10 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
         (ts + se.animation.total for se in scheduled for ts in se.starts),
         default=0.0,
     )
+    if not makespan < MAX_SAMPLES:
+        raise ConfigError(
+            f"schedule ends at {makespan} ms; check samples only before {MAX_SAMPLES} ms"
+        )
     return Schedule(config=cfg, edges=scheduled, makespan=makespan)
 
 

@@ -16,6 +16,7 @@ from edgemorph import (
     schedule_to_dict,
     validate_schedule,
 )
+from edgemorph import scheduling
 from edgemorph.cli import main
 from conftest import DATA_DIR
 from gen_layouts import two_segment_cross
@@ -174,6 +175,32 @@ class TestSchedule:
         err = capsys.readouterr().err
         assert "must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cap, rc", [(2251, 0), (2250, 1)])
+    def test_schedule_ends_within_the_check_grid(
+        self, layout_file, tmp_path, capsys, monkeypatch, cap, rc
+    ):
+        # The slowlin schedule ends at 2250 ms; check samples 1 ms steps
+        # below MAX_SAMPLES ms, so a schedule ending there is refused.
+        monkeypatch.setattr(scheduling, "MAX_SAMPLES", cap)
+        out = tmp_path / "schedule.json"
+        args = [str(layout_file), "--model", "slowlin", "-o", str(out)]
+        assert main(["schedule", *args]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not out.exists()
+        else:
+            assert main(["check", str(layout_file), str(out)]) == 0
+
+    def test_schedule_past_the_check_grid_is_domain_error(
+        self, layout_file, tmp_path, capsys
+    ):
+        out = tmp_path / "schedule.json"
+        args = ["--model", "fastlin", "--horizon", "1200000", "-o", str(out)]
+        assert main(["schedule", str(layout_file), *args]) == 1
+        assert capsys.readouterr().err.startswith("error: schedule ends at 1199550.0 ms")
+        assert not out.exists()
 
     def test_horizon_too_small_is_domain_error(self, layout_file, capsys):
         rc = main(
@@ -357,12 +384,15 @@ def test_unreadable_documents_are_domain_errors(
         ["--sigma-a", "1e-300"],
         ["--tau-distinct", "1e308"],
         ["--model", "fastlin", "--horizon", "1e308"],
+        ["--sigma-a", "0.01"],
+        ["--tau-distinct", "1e9"],
     ],
-    ids=["tau-half", "sigma-a", "tau-distinct", "horizon"],
+    ids=["tau-half", "sigma-a", "tau-distinct", "horizon", "past-check-grid", "wide-window"],
 )
 def test_extreme_schedule_flags_exit_one_in_seconds(tmp_path, flags):
-    """Times past the microsecond grid, or more starts than a schedule may
-    hold, are domain errors, reported at once: no traceback and no hang."""
+    """Times past the microsecond grid, more starts than a schedule may hold,
+    or a schedule ending past the check grid are domain errors, reported at
+    once: no traceback and no hang."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}

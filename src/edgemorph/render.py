@@ -1,10 +1,10 @@
 """Frame sampling and SVG output for scheduled drawings.
 
-Rendering is a pure function of layout, configuration, schedule, timestamp,
-style and region groups: identical inputs give byte-identical documents. Nodes
-are drawn as filled disks over the edge stubs on a white background; the
-drawing area is the node bounding box plus a 10 px margin. Coordinates are
-written with three decimal places.
+Rendering is a pure function of layout, configuration, schedule, timestamp
+and region groups: identical inputs give byte-identical documents. There is
+one drawing style: nodes are drawn as filled disks, coloured by role, over
+black edge stubs on a white background; the drawing area is the node bounding
+box plus a 10 px margin. Coordinates are written with three decimal places.
 
 Every path samples stub ratios through
 :func:`~edgemorph.kinematics.stub_ratio_matrix`, on the one stub-ratio kernel
@@ -35,7 +35,6 @@ start as the resting lines and keyframe lists as the resting tips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -51,34 +50,6 @@ MARGIN_PX = 10.0
 MAX_FRAMES = 100_000
 #: Frames whose stub tips a frames export holds at once.
 FRAME_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    node_radius: float = 7.0
-    stroke_width: float = 2.0
-    fill_plain: str = "#808080"
-    fill_blue: str = "#1f77b4"
-    fill_orange: str = "#ff7f0e"
-    stroke: str = "#000000"
-    background: str = "#ffffff"
-    region_tint: str = "#ffd54d"
-    region_tint_opacity: float = 0.35
-    region_halo_radius: float = 14.0
-
-    def __post_init__(self) -> None:
-        if self.node_radius <= 0 or self.stroke_width <= 0:
-            raise ValueError("style dimensions must be positive")
-
-    def node_fill(self, node: NodeSpec) -> str:
-        if node.color_role == "blue":
-            return self.fill_blue
-        if node.color_role == "orange":
-            return self.fill_orange
-        return self.fill_plain
-
-
-DEFAULT_STYLE = RenderStyle()
 
 
 def _stub_ratios(
@@ -132,6 +103,15 @@ def _over_resting(resting: list[str], moving: np.ndarray, texts: list[str]) -> n
 _NUMBER = "%.3f"
 _fmt = _NUMBER.__mod__
 
+# The one drawing style, each size formatted once: black strokes on white,
+# node disks filled by colour role, and translucent yellow region halos.
+_STROKE = f'stroke="#000000" stroke-width="{_fmt(2.0)}"'
+_NODE = {
+    role: f'r="{_fmt(7.0)}" fill="{fill}" {_STROKE}/>'
+    for role, fill in (("plain", "#808080"), ("blue", "#1f77b4"), ("orange", "#ff7f0e"))
+}
+_HALO = f'r="{_fmt(14.0)}" fill="#ffd54d" fill-opacity="{_fmt(0.35)}"/>'
+
 
 def _view_box(nodes: tuple[NodeSpec, ...]) -> tuple[float, float, float, float]:
     if not nodes:
@@ -144,7 +124,7 @@ def _view_box(nodes: tuple[NodeSpec, ...]) -> tuple[float, float, float, float]:
 
 
 def _document_ends(
-    nodes: tuple[NodeSpec, ...], style: RenderStyle, regions: tuple[tuple[str, ...], ...] = ()
+    nodes: tuple[NodeSpec, ...], regions: tuple[tuple[str, ...], ...] = ()
 ) -> tuple[str, str]:
     """The text before the body (root element, background, region halos) and after
     it (node disks). A region id that names no node raises UsageError."""
@@ -157,18 +137,15 @@ def _document_ends(
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x)} {_fmt(y)} {_fmt(w)} {_fmt(h)}">\n'
         f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'fill="{style.background}"/>'
+        'fill="#ffffff"/>'
     )
     halos = [
-        f'<circle cx="{_fmt(n.x)}" cy="{_fmt(n.y)}" r="{_fmt(style.region_halo_radius)}" '
-        f'fill="{style.region_tint}" fill-opacity="{_fmt(style.region_tint_opacity)}"/>'
+        f'<circle cx="{_fmt(n.x)}" cy="{_fmt(n.y)}" {_HALO}'
         for region in regions
         for n in map(by_id.__getitem__, region)
     ]
     circles = [
-        f'<circle cx="{_fmt(n.x)}" cy="{_fmt(n.y)}" r="{_fmt(style.node_radius)}" '
-        f'fill="{style.node_fill(n)}" stroke="{style.stroke}" '
-        f'stroke-width="{_fmt(style.stroke_width)}"/>'
+        f'<circle cx="{_fmt(n.x)}" cy="{_fmt(n.y)}" {_NODE[n.color_role]}'
         for n in nodes
     ]
     return "\n".join([head, *halos]), "\n".join([*circles, "</svg>"]) + "\n"
@@ -179,26 +156,23 @@ def _document(ends: tuple[str, str], body: list[str]) -> str:
     return "\n".join([head, *body, tail])
 
 
-def _anchored(p1: Point, style: RenderStyle) -> str:
+def _anchored(p1: Point) -> str:
     """The open ``<line`` element of a stroked segment from p1, with its end
-    x2, y2 left as ``%`` slots (a ``%`` in the style is escaped)."""
-    return (
-        f'<line x1="{_fmt(p1[0])}" y1="{_fmt(p1[1])}" x2="{_NUMBER}" y2="{_NUMBER}" '
-        f'stroke="{style.stroke.replace("%", "%%")}" stroke-width="{_fmt(style.stroke_width)}"'
-    )
+    x2, y2 left as ``%`` slots."""
+    return f'<line x1="{_fmt(p1[0])}" y1="{_fmt(p1[1])}" x2="{_NUMBER}" y2="{_NUMBER}" {_STROKE}'
 
 
-def _line(p1: Point, p2: Point, style: RenderStyle, children: str = "") -> str:
+def _line(p1: Point, p2: Point, children: str = "") -> str:
     """One stroked segment; ``children`` (animation elements) go inside it."""
-    line = _anchored(p1, style) % (p2[0], p2[1])
+    line = _anchored(p1) % (p2[0], p2[1])
     return f"{line}>{children}</line>" if children else f"{line}/>"
 
 
-def _edge_templates(anchors: list, style: RenderStyle) -> tuple[list[str], list[str]]:
+def _edge_templates(anchors: list) -> tuple[list[str], list[str]]:
     """Per (source, target) anchor pair: the edge's full line, and its two stubs
     with the tips x1, y1 (source) and x2, y2 (target) as ``%`` slots."""
-    full = [_line(source, target, style) for source, target in anchors]
-    stubs = [f"{_anchored(s, style)}/>\n{_anchored(t, style)}/>" for s, t in anchors]
+    full = [_line(source, target) for source, target in anchors]
+    stubs = [f"{_anchored(s)}/>\n{_anchored(t)}/>" for s, t in anchors]
     return full, stubs
 
 
@@ -232,15 +206,15 @@ def frame_texts(
     cfg: AnimationConfig,
     schedule: Schedule,
     times: Sequence[float],
-    style: RenderStyle = DEFAULT_STYLE,
     regions: tuple[tuple[str, ...], ...] = (),
 ) -> Iterator[str]:
     """SVG text of the frame at each time, sampled :data:`FRAME_BLOCK` frames
     at a time; each block formats only its moving edge-frames. Each node of the
     ``regions`` id groups gets a translucent halo under every edge, written once
-    into the document head; an id that names no node raises UsageError."""
-    ends = _document_ends(layout.nodes, style, regions)
-    templates = _edge_templates([layout.endpoints(edge) for edge in layout.edges], style)
+    into the document head; an id that names no node raises UsageError. Every
+    frame is drawn in the module's one style."""
+    ends = _document_ends(layout.nodes, regions)
+    templates = _edge_templates([layout.endpoints(edge) for edge in layout.edges])
     rest = enumerate(_resting_tips(layout, cfg))
     resting = _edge_texts(templates, ((i, cfg.delta0, *tips) for i, tips in rest))
     for first in range(0, len(times), FRAME_BLOCK):
@@ -254,11 +228,7 @@ def frame_texts(
 
 
 def _animated_svg(
-    layout: GraphLayout,
-    cfg: AnimationConfig,
-    times: list[float],
-    ratios: np.ndarray,
-    style: RenderStyle,
+    layout: GraphLayout, cfg: AnimationConfig, times: list[float], ratios: np.ndarray
 ) -> str:
     duration = times[-1] if times[-1] > 0 else 1000.0 / cfg.fps
     dur = _fmt(duration)
@@ -281,8 +251,8 @@ def _animated_svg(
                 'calcMode="linear" repeatCount="indefinite"/>'
                 for name, column in (("x2", xs), ("y2", ys))
             )
-            body.append(_line(anchor, (x2, y2), style, children))
-    return _document(_document_ends(layout.nodes, style), body)
+            body.append(_line(anchor, (x2, y2), children))
+    return _document(_document_ends(layout.nodes), body)
 
 
 def export_animation(
@@ -292,13 +262,13 @@ def export_animation(
     out_dir: str | Path,
     frames: bool = True,
     animated: bool = False,
-    style: RenderStyle = DEFAULT_STYLE,
 ) -> list[Path]:
     """Write frame files and/or the animated document into a directory.
 
     Frames are named frame_%06d.svg and sampled at the configured frame rate
     from time zero through the first frame at or past the makespan; the
-    animated document is animation.svg. Returns the written paths in order.
+    animated document is animation.svg, both in the module's one style.
+    Returns the written paths in order.
     Frame files are sampled in blocks of :data:`FRAME_BLOCK` frames, the
     animated document, whose text holds every value anyway, in one. An export of
     more than :data:`MAX_FRAMES` frames raises ConfigError before the
@@ -309,13 +279,13 @@ def export_animation(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if frames:
-        for k, text in enumerate(frame_texts(layout, cfg, schedule, times, style)):
+        for k, text in enumerate(frame_texts(layout, cfg, schedule, times)):
             path = out_dir / f"frame_{k:06d}.svg"
             path.write_text(text, encoding="utf-8")
             written.append(path)
     if animated:
         ratios = _stub_ratios(layout, cfg, schedule, times)
         path = out_dir / "animation.svg"
-        path.write_text(_animated_svg(layout, cfg, times, ratios, style), encoding="utf-8")
+        path.write_text(_animated_svg(layout, cfg, times, ratios), encoding="utf-8")
         written.append(path)
     return written

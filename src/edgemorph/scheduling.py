@@ -21,12 +21,12 @@ The first pass always places every edge once and every start is at or after
 time zero, so the frame at time zero shows the resting drawing.
 
 :func:`validate_schedule` is an independent check: it samples every edge's
-stub ratio on a fixed time grid and verifies ratio bounds, crossing-point
-separation, per-edge start separation, and the resting initial frame, without
-reusing any of the interval arithmetic that placed the starts. An edge rests
-at delta0 outside its animated span, so only that span, widened on each side
-by the distinctness time, is sampled: memory grows with the animated
-samples, not with edges times the grid. The spans go through the stub-ratio
+stub ratio on a 1 ms time grid and verifies ratio bounds, crossing-point
+separation, per-edge start separation, the horizon and the resting initial
+frame, without reusing any of the interval arithmetic that placed the starts.
+An edge rests at delta0 outside its animated span, so only that span, widened
+on each side by the distinctness time, is sampled: memory grows with the
+animated samples, not with edges times the grid. The spans go through the stub-ratio
 kernel that rendering uses, and the eased samples of consecutive edges are
 solved together, one easing call per block of about :data:`EASING_BLOCK`
 fractions, so the easing cost is arithmetic, not call overhead. Float ratios
@@ -254,7 +254,8 @@ def sample_ratio_series(
 
 @dataclass(frozen=True)
 class ScheduleViolation:
-    # duplicate-edge | ratio-range | crossing-separation | start-separation | initial-frame
+    # duplicate-edge | ratio-range | crossing-separation | start-separation |
+    # initial-frame | horizon
     kind: str
     time_ms: float | None
     edges: tuple[tuple[str, str], ...]
@@ -265,13 +266,12 @@ class ScheduleViolation:
 class ScheduleReport:
     """Validator verdict: at most 100 violations are listed, all are counted.
 
-    ``violation_counts`` holds one (kind, total) pair per kind that occurred,
-    sorted by kind.
+    ``sample_count`` counts the 1 ms grid's samples. ``violation_counts``
+    holds one (kind, total) pair per kind that occurred, sorted by kind.
     """
 
     passed: bool
     sample_count: int
-    step_ms: float
     violations: tuple[ScheduleViolation, ...]
     violation_counts: tuple[tuple[str, int], ...] = ()
 
@@ -299,24 +299,21 @@ def _window_max(values: np.ndarray, lag: int, pad: float) -> np.ndarray:
 
 
 def validate_schedule(
-    layout: GraphLayout,
-    cfg: AnimationConfig,
-    schedule: Schedule,
-    step_ms: float = 1.0,
+    layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule
 ) -> ScheduleReport:
     """Brute-force check of a schedule by time sampling.
 
-    Samples every edge's ratio on a step_ms grid over the whole schedule and
+    Samples every edge's ratio on a 1 ms grid over the whole schedule and
     checks: (a) ratios stay within [delta0, 1/2]; (b) for every avoidable
     crossing the two edges never cover the point within tau_distinct of each
     other (a gap of exactly tau_distinct is fine; at 0 coverages may touch,
     so a clash takes two consecutive samples); (c) per-edge starts are
     non-negative, sorted, and separated by a full animation plus tau_distinct;
     (d) everything rests at delta0 at time zero; (e) no edge is scheduled
-    more than once. Checks (a), (c) and (d) run on every entry of a duplicated
-    edge, and (b) on its last entry. Edges absent from the schedule are
-    treated as never animating. A step_ms that is not a positive
-    finite number, or a grid of more than :data:`MAX_SAMPLES` samples, raises
+    more than once; (f) with a horizon set, every animation ends by it.
+    Checks (a), (c), (d) and (f) run on every entry of a duplicated edge, and
+    (b) on its last entry. Edges absent from the schedule are treated as
+    never animating. A grid of more than :data:`MAX_SAMPLES` samples raises
     RangeError before anything is allocated. The first 100 violations are
     listed, and all are counted by kind.
 
@@ -346,19 +343,15 @@ def validate_schedule(
     bit the ones rendering draws; they live only until the block's levels
     and its ratio-range and initial-frame checks are done.
     """
-    if not 0.0 < step_ms < math.inf:
-        raise RangeError(f"validator step {step_ms} ms is not a positive finite number")
     end = schedule.makespan
     for se in schedule.edges:
         for ts in se.starts:
             end = max(end, ts + se.animation.total)
-    span = end / step_ms if end > 0 else 0.0
+    span = end if end > 0 else 0.0
     if not span < MAX_SAMPLES:
-        raise RangeError(
-            f"{end} ms at {step_ms} ms steps needs more than {MAX_SAMPLES} samples"
-        )
+        raise RangeError(f"{end} ms at 1.0 ms steps needs more than {MAX_SAMPLES} samples")
     count = int(np.floor(span)) + 1
-    times = np.arange(count) * step_ms
+    times = np.arange(count, dtype=float)
 
     violations: list[ScheduleViolation] = []
     counts: dict[str, int] = {}
@@ -372,12 +365,16 @@ def validate_schedule(
         if n > 1:
             add("duplicate-edge", None, (key,), f"scheduled {n} times")
 
+    # compute_schedule places starts within the same bound.
+    horizon = math.inf if cfg.horizon is None else cfg.horizon + _EPS_MS
     for se in schedule.edges:
         key = se.animation.edge.key
         prev = None
         for ts in se.starts:
             if ts < 0.0:
                 add("start-separation", ts, (key,), "negative start")
+            if (ends := ts + se.animation.total) > horizon:
+                add("horizon", ts, (key,), f"ends at {ends} ms > horizon {cfg.horizon} ms")
             if prev is not None:
                 needed = se.animation.total + cfg.tau_distinct
                 if ts - prev < needed - _EPS_MS:
@@ -417,7 +414,7 @@ def validate_schedule(
             out[a - lo : b - lo] = levels[a - first : b - first]
         return out
 
-    lag = int(np.floor((cfg.tau_distinct - _EPS_MS) / step_ms))
+    lag = math.floor(cfg.tau_distinct - _EPS_MS)
     # A window wider than the grid already covers all of it.
     margin = min(max(lag, 0), count)
     # layout index -> (grid index of the first sample, levels of the widened
@@ -525,7 +522,6 @@ def validate_schedule(
     return ScheduleReport(
         passed=not violations,
         sample_count=count,
-        step_ms=step_ms,
         violations=tuple(violations),
         violation_counts=tuple(sorted(counts.items())),
     )

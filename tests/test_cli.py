@@ -240,6 +240,23 @@ class TestCheck:
         assert main(["check", str(layout_file), str(path)]) == 1
         assert capsys.readouterr().out.startswith("crossing-separation ")
 
+    def test_start_past_the_horizon_fails(self, tmp_path, capsys):
+        layout_path = DATA_DIR / "sample_dense_40.json"
+        path = tmp_path / "h.json"
+        args = ["--model", "fastlin", "--horizon", "20000", "-o", str(path)]
+        assert main(["schedule", str(layout_path), *args]) == 0
+        assert main(["check", str(layout_path), str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        starts = doc["edges"][0]["starts_ms"]
+        starts.append(starts[-1] + 50_000.0)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(layout_path), str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"horizon {starts[-1]:.3f} ")
+        assert lines[0].endswith(" ms > horizon 20000.0 ms")
+        assert lines[-1] == "failed 1 violations (1 horizon), 0 not listed"
+
     def test_unlisted_violations_are_counted(self, tmp_path, capsys):
         layout_path = DATA_DIR / "sample_dense_40.json"
         layout = parse_layout(layout_path.read_bytes())
@@ -513,6 +530,17 @@ class TestRender:
             assert main([*args, str(tmp_path / "one"), "--frame-at", str(k * 1000.0 / fps)]) == 0
             single = Path(capsys.readouterr().out.splitlines()[-1])
             assert single.read_bytes() == (frames / f"frame_{k:06d}.svg").read_bytes()
+
+    def test_animated_and_frame_at_are_exclusive(
+        self, layout_file, schedule_file, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        args = ["--schedule", str(schedule_file), "--out", str(out_dir)]
+        rc = main(["render", str(layout_file), *args, "--animated", "--frame-at", "0"])
+        assert rc == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert "--frame-at: not allowed with argument --animated" in err
 
     @pytest.mark.parametrize("extra", [[], ["--animated"], ["--frame-at", "0"]])
     def test_another_layouts_schedule_is_refused(

@@ -17,7 +17,6 @@ from edgemorph import (
     GraphLayout,
     NodeSpec,
     PRESETS,
-    RenderStyle,
     Schedule,
     UsageError,
     compute_schedule,
@@ -453,11 +452,16 @@ _ANIMATED_STUB = re.compile(
 )
 
 
-def reference_line(p1, p2, style, children=""):
+# The drawing style, spelled out here rather than read from the code under test.
+STROKE, STROKE_WIDTH, BACKGROUND, NODE_RADIUS = "#000000", 2.0, "#ffffff", 7.0
+NODE_FILLS = {"plain": "#808080", "blue": "#1f77b4", "orange": "#ff7f0e"}
+
+
+def reference_line(p1, p2, children=""):
     """The f-string line writer that the line templates replaced."""
     line = (
         f'<line x1="{p1[0]:.3f}" y1="{p1[1]:.3f}" x2="{p2[0]:.3f}" y2="{p2[1]:.3f}" '
-        f'stroke="{style.stroke}" stroke-width="{style.stroke_width:.3f}"'
+        f'stroke="{STROKE}" stroke-width="{STROKE_WIDTH:.3f}"'
     )
     return f"{line}>{children}</line>" if children else f"{line}/>"
 
@@ -472,20 +476,18 @@ def reference_stubs(layout, cfg, schedule):
     ]
 
 
-def reference_frames(layout, cfg, schedule, style=render.DEFAULT_STYLE):
+def reference_frames(layout, cfg, schedule):
     """Each export frame's text from :func:`reference_stubs`, written with
     :func:`reference_line`: the code under test shares only the ratio kernel."""
-    head, tail = reference_ends(layout.nodes, style)
+    head, tail = reference_ends(layout.nodes)
     for stubs in reference_stubs(layout, cfg, schedule):
         body = []
         for stub in stubs:
             (source, x1y1), (target, x2y2) = stub.segment_source, stub.segment_target
             if stub.ratio >= 0.5 - 1e-12:
-                body.append(reference_line(source, target, style))
+                body.append(reference_line(source, target))
             else:
-                body.append(
-                    f"{reference_line(source, x1y1, style)}\n{reference_line(target, x2y2, style)}"
-                )
+                body.append(f"{reference_line(source, x1y1)}\n{reference_line(target, x2y2)}")
         yield "\n".join([head, *body, tail])
 
 
@@ -526,7 +528,7 @@ def test_exported_frames_match_resampling(tmp_path, cross_layout, case):
         assert path.read_text(encoding="utf-8") == expected
 
 
-def reference_ends(nodes, style):
+def reference_ends(nodes):
     """Root element and background before the body, node disks after it."""
     x, y = min(n.x for n in nodes) - 10.0, min(n.y for n in nodes) - 10.0
     w = max(n.x for n in nodes) + 10.0 - x
@@ -534,18 +536,18 @@ def reference_ends(nodes, style):
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x:.3f} {y:.3f} {w:.3f} {h:.3f}">\n'
         f'<rect x="{x:.3f}" y="{y:.3f}" width="{w:.3f}" height="{h:.3f}" '
-        f'fill="{style.background}"/>'
+        f'fill="{BACKGROUND}"/>'
     )
     circles = [
-        f'<circle cx="{n.x:.3f}" cy="{n.y:.3f}" r="{style.node_radius:.3f}" '
-        f'fill="{style.node_fill(n)}" stroke="{style.stroke}" '
-        f'stroke-width="{style.stroke_width:.3f}"/>'
+        f'<circle cx="{n.x:.3f}" cy="{n.y:.3f}" r="{NODE_RADIUS:.3f}" '
+        f'fill="{NODE_FILLS[n.color_role]}" stroke="{STROKE}" '
+        f'stroke-width="{STROKE_WIDTH:.3f}"/>'
         for n in nodes
     ]
     return head, "\n".join([*circles, "</svg>"]) + "\n"
 
 
-def reference_export(layout, cfg, schedule, style):
+def reference_export(layout, cfg, schedule):
     """Every frame's text, then the animated document, written with f-strings
     from the public ratio kernel and the affine tips (1 - r) a + r b."""
     times = frame_timestamps(schedule.makespan, cfg.fps)
@@ -559,18 +561,17 @@ def reference_export(layout, cfg, schedule, style):
         rest * tx + ratios * sx,
         rest * ty + ratios * sy,
     )
-    head, tail = reference_ends(layout.nodes, style)
+    head, tail = reference_ends(layout.nodes)
     for k in range(len(times)):
         body = []
         for (source, target), r, x1, y1, x2, y2 in zip(
             anchors, *(a[:, k].tolist() for a in (ratios, *tips))
         ):
             if r >= 0.5 - 1e-12:
-                body.append(reference_line(source, target, style))
+                body.append(reference_line(source, target))
             else:
                 body.append(
-                    f"{reference_line(source, (x1, y1), style)}\n"
-                    f"{reference_line(target, (x2, y2), style)}"
+                    f"{reference_line(source, (x1, y1))}\n{reference_line(target, (x2, y2))}"
                 )
         yield "\n".join([head, *body, tail])
     duration = times[-1] if times[-1] > 0 else 1000.0 / cfg.fps
@@ -586,30 +587,26 @@ def reference_export(layout, cfg, schedule, style):
                     f'values="{column}" keyTimes="{key_times}" '
                     'calcMode="linear" repeatCount="indefinite"/>'
                 )
-            body.append(reference_line(anchor, (xs[0], ys[0]), style, children))
+            body.append(reference_line(anchor, (xs[0], ys[0]), children))
     yield "\n".join([head, *body, tail])
 
 
-ORACLE_CASES = [*KERNEL_CASES, "overlapping", *SAMPLE_CASES, "sample-fastlin-cli", "odd-stroke"]
+ORACLE_CASES = [*KERNEL_CASES, "overlapping", *SAMPLE_CASES, "sample-fastlin-cli"]
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
 def test_exports_equal_reference_writer(tmp_path, case):
     """Frame files and animation.svg are the bytes the f-string writer gives:
-    eased, multi-start, overlapping, the sample under a 60 s horizon at the
-    command line's 30 fps (holds and full lines), and a stroke holding % and {}."""
-    style = render.DEFAULT_STYLE
+    eased, multi-start, overlapping, and the sample under a 60 s horizon at
+    the command line's 30 fps (holds and full lines)."""
     if case == "sample-fastlin-cli":
         layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
         cfg = replace(PRESETS["fastlin"], horizon=60_000.0)
         schedule = compute_schedule(layout, cfg)
-    elif case == "odd-stroke":
-        layout, cfg, schedule = overlapping_schedule()
-        style = RenderStyle(stroke="rgb(0%,0%,0%) {} %s {0} %%")
     else:
         layout, cfg, schedule = case_schedule(case)
-    written = export_animation(layout, cfg, schedule, tmp_path, animated=True, style=style)
-    expected = reference_export(layout, cfg, schedule, style)
+    written = export_animation(layout, cfg, schedule, tmp_path, animated=True)
+    expected = reference_export(layout, cfg, schedule)
     count = len(frame_timestamps(schedule.makespan, cfg.fps))
     assert [p.name for p in written] == [
         *(f"frame_{k:06d}.svg" for k in range(count)),
@@ -621,7 +618,6 @@ def test_exports_equal_reference_writer(tmp_path, case):
         lines.add(text.count("<line"))
     # some frame draws a full line, the resting frames two stubs per edge
     assert min(lines) < 2 * len(layout.edges) == max(lines)
-    assert f'stroke="{style.stroke}"' in text
 
 
 @given(st.floats())
@@ -670,8 +666,3 @@ def test_frames_export_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert len(written) == frames
         assert peak <= 1.5 * 2**20
-
-
-def test_style_rejects_nonpositive_dimensions():
-    with pytest.raises(ValueError):
-        RenderStyle(node_radius=0.0)

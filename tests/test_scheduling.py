@@ -466,8 +466,8 @@ def loop_ratio_series(anim, starts, cfg, times):
     return out
 
 
-def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
-    """Reference validator: every edge sampled and dilated over the whole grid.
+def dense_validate_schedule(layout, cfg, schedule):
+    """Reference validator: every edge sampled and dilated over the whole 1 ms grid.
 
     The validator as it was before span sampling, without its grid-size
     guards, counting violations as well as listing the first 100.
@@ -478,9 +478,8 @@ def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
     for se in schedule.edges:
         for ts in se.starts:
             end = max(end, ts + se.animation.total)
-    span = end / step_ms if end > 0 else 0.0
-    count = int(np.floor(span)) + 1
-    times = np.arange(count) * step_ms
+    count = int(np.floor(max(end, 0.0))) + 1
+    times = np.arange(count, dtype=float)
     violations = []
     counts = {}
 
@@ -495,6 +494,9 @@ def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
         for ts in se.starts:
             if ts < 0.0:
                 add("start-separation", ts, (key,), "negative start")
+            ends = ts + se.animation.total
+            if cfg.horizon is not None and ends > cfg.horizon + eps_ms:
+                add("horizon", ts, (key,), f"ends at {ends} ms > horizon {cfg.horizon} ms")
             if prev is not None:
                 needed = se.animation.total + cfg.tau_distinct
                 if ts - prev < needed - eps_ms:
@@ -518,7 +520,7 @@ def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
             i = int(np.argmax(bad))
             add("ratio-range", float(times[i]), (key,), f"ratio {values[i]}")
 
-    lag = int(np.floor((cfg.tau_distinct - eps_ms) / step_ms))
+    lag = int(np.floor(cfg.tau_distinct - eps_ms))
     if lag >= 0:
         for crossing in find_avoidable_crossings(layout, cfg.delta0):
             key_a, key_b = crossing.edge_a.key, crossing.edge_b.key
@@ -545,7 +547,6 @@ def dense_validate_schedule(layout, cfg, schedule, step_ms=1.0):
     return ScheduleReport(
         passed=not violations,
         sample_count=count,
-        step_ms=step_ms,
         violations=tuple(violations),
         violation_counts=tuple(sorted(counts.items())),
     )
@@ -599,34 +600,38 @@ def schedule_variants(layout, schedule, rng):
 class TestDenseOracle:
     """Span sampling reports exactly what sampling the whole grid reports."""
 
+    # Besides the presets' 50 ms, distinctness times of 100 ms and 17 ms:
+    # windows of 99 and 16 samples on each side.
     @pytest.mark.parametrize(
-        "preset, step_ms",
+        "preset, distinct_scale",
         [
             ("slowlin", 1.0),
             ("sloweas", 1.0),
             ("fastlin", 1.0),
             ("fasteas", 1.0),
-            ("sloweas", 0.5),
-            ("fastlin", 3.0),
+            ("sloweas", 2.0),
+            ("fastlin", 0.34),
         ],
     )
-    def test_synth_schedules(self, preset, step_ms):
+    def test_synth_schedules(self, preset, distinct_scale):
         layout = synth_layout(53, n_nodes=12, density=2.5, spacing=200, bias=1.5)
         cfg = PRESETS[preset]
+        cfg = replace(cfg, tau_distinct=round(distinct_scale * cfg.tau_distinct))
         single = compute_schedule(layout, cfg)
         repeated = compute_schedule(layout, replace(cfg, horizon=1.5 * single.makespan))
-        rng = random.Random(f"{preset}-{step_ms}")
+        rng = random.Random(f"{preset}-{distinct_scale}")
         seen = set()
         for schedule in (single, repeated):
+            # The repeated schedule's own config holds its horizon.
             for name, variant in schedule_variants(layout, schedule, rng).items():
-                report = validate_schedule(layout, cfg, variant, step_ms)
-                assert report == dense_validate_schedule(layout, cfg, variant, step_ms), name
+                report = validate_schedule(layout, schedule.config, variant)
+                assert report == dense_validate_schedule(layout, schedule.config, variant), name
                 if name in ("valid", "edges missing", "edges without starts"):
                     assert report.passed, name
                 elif name != "shifted":
                     assert not report.passed, name
                 seen.update(dict(report.violation_counts))
-        assert seen == {"crossing-separation", "start-separation", "initial-frame"}
+        assert seen == {"crossing-separation", "start-separation", "initial-frame", "horizon"}
 
     def test_listing_is_capped_and_counts_are_not(self):
         layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
@@ -920,8 +925,8 @@ class TestWindowMax:
 
         monkeypatch.setattr(scheduling, "_window_max", compared)
         for variant in (schedule, shifted):
-            for step_ms in (0.7, 1.0, 2.0):
-                validate_schedule(layout, cfg, variant, step_ms)
+            for tau_distinct in (72.0, 50.0, 25.0):
+                validate_schedule(layout, replace(cfg, tau_distinct=tau_distinct), variant)
         assert lags == {71, 49, 24}
 
 
@@ -970,9 +975,8 @@ class TestZeroDistinctness:
                 single = compute_schedule(layout, cfg).makespan
                 cfg = replace(cfg, horizon=horizon_factor * single)
             schedule = compute_schedule(layout, cfg)
-            for step_ms in (0.5, 0.7, 1.0, 2.0):
-                report = validate_schedule(layout, cfg, schedule, step_ms)
-                assert report.passed, (step_ms, report.violation_counts)
+            report = validate_schedule(layout, cfg, schedule)
+            assert report.passed, report.violation_counts
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -1121,6 +1125,29 @@ class TestSerialization:
         assert back.config == cfg
 
 
+@pytest.mark.parametrize("over, fails", [(0.0, False), (1e-7, False), (1e-5, True), (50.0, True)])
+def test_starts_ending_past_the_horizon_fail(over, fails):
+    """The validator bounds every animation's end by the horizon, with the
+    slack that placement uses."""
+    layout = no_conflict_layout()
+    cfg = replace(SLOWLIN, horizon=20_000.0)
+    schedule = compute_schedule(layout, cfg)
+    assert validate_schedule(layout, cfg, schedule).passed
+    last = schedule.edges[0]
+    # Move the last start later, so that it stays apart from the one before.
+    starts = (*last.starts[:-1], cfg.horizon + over - last.animation.total)
+    edges = (ScheduledEdge(last.animation, starts), *schedule.edges[1:])
+    late = replace(schedule, edges=edges, makespan=max(schedule.makespan, cfg.horizon + over))
+    report = validate_schedule(layout, cfg, late)
+    assert report == dense_validate_schedule(layout, cfg, late)
+    assert report.violation_counts == ((("horizon", 1),) if fails else ())
+    if fails:
+        (violation,) = report.violations
+        assert (violation.time_ms, violation.edges) == (starts[-1], (last.animation.edge.key,))
+    # Without a horizon the same starts pass.
+    assert validate_schedule(layout, SLOWLIN, late).passed
+
+
 class TestValidatorGrid:
     def test_huge_start_is_range_error(self, cross_layout):
         doc = schedule_to_dict(compute_schedule(cross_layout, SLOWLIN))
@@ -1128,14 +1155,6 @@ class TestValidatorGrid:
         schedule = parse_schedule(json.dumps(doc))
         with pytest.raises(RangeError, match="samples"):
             validate_schedule(cross_layout, SLOWLIN, schedule)
-
-    @pytest.mark.parametrize(
-        "step_ms", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
-    )
-    def test_bad_step_is_range_error(self, cross_layout, step_ms):
-        schedule = compute_schedule(cross_layout, SLOWLIN)
-        with pytest.raises(RangeError, match="step"):
-            validate_schedule(cross_layout, SLOWLIN, schedule, step_ms=step_ms)
 
     def test_cap_boundary(self, cross_layout, monkeypatch):
         schedule = compute_schedule(cross_layout, SLOWLIN)

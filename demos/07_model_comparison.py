@@ -10,7 +10,7 @@ schedules further. The bundled dense sample shows both effects.
 
 from pathlib import Path
 
-from edgemorph import PRESETS, compute_schedule, parse_layout, schedule_stats
+from edgemorph import PRESETS, compute_schedule, parse_layout, slowdown
 
 sample = parse_layout(
     (Path(__file__).resolve().parent.parent / "data" / "sample_dense_40.json").read_bytes()
@@ -22,10 +22,9 @@ print(f"{'model':10}{'makespan':>12}")
 for name, schedule in sorted(schedules.items(), key=lambda kv: -kv[1].makespan):
     print(f"{name:10}{schedule.makespan / 1000.0:>10.2f} s")
 
-speed = schedule_stats(schedules["slowlin"], baseline=schedules["fastlin"])
-print(f"\nslow vs fast (linear): {speed.slowdown:+.0%}")
+speed = slowdown(schedules["slowlin"], schedules["fastlin"])
+print(f"\nslow vs fast (linear): {speed:+.0%}")
 for speed_name in ("slow", "fast"):
     eased = schedules[f"{speed_name}eas"]
     linear = schedules[f"{speed_name}lin"]
-    stats = schedule_stats(eased, baseline=linear)
-    print(f"ease vs linear ({speed_name}): {stats.slowdown:+.0%}")
+    print(f"ease vs linear ({speed_name}): {slowdown(eased, linear):+.0%}")

@@ -8,6 +8,8 @@ kinematics, crossing detection, greedy scheduling with an independent
 sampling validator, task trials with scoring, and SVG output.
 """
 
+from types import ModuleType as _ModuleType
+
 from .crossings import AvoidableCrossing, find_avoidable_crossings, segment_intersection
 from .easing import (
     EASE,
@@ -54,7 +56,6 @@ from .scheduling import (
     Schedule,
     ScheduledEdge,
     ScheduleReport,
-    ScheduleStats,
     ScheduleViolation,
     compute_schedule,
     forbidden_start_window,
@@ -62,9 +63,9 @@ from .scheduling import (
     sample_ratio_series,
     schedule_from_dict,
     schedule_mismatches,
-    schedule_stats,
     schedule_to_dict,
     schedule_to_json,
+    slowdown,
     validate_schedule,
 )
 from .tasks import (
@@ -86,4 +87,5 @@ from .tasks import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the names above binds the submodules too; they are not public names.
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

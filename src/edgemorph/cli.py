@@ -25,8 +25,8 @@ from .scheduling import (
     compute_schedule,
     parse_schedule,
     schedule_mismatches,
-    schedule_stats,
     schedule_to_json,
+    slowdown,
     validate_schedule,
 )
 from .tasks import TASKS, apply_trial_roles, make_trial, trial_to_json
@@ -186,10 +186,10 @@ def _cmd_stats(args) -> int:
     cfg_b = _base_config(args.config_b, args.model_b)
     schedule_a = compute_schedule(layout, cfg_a)
     schedule_b = compute_schedule(layout, cfg_b)
-    stats = schedule_stats(schedule_a, baseline=schedule_b)
+    ratio = slowdown(schedule_a, schedule_b)
     print(f"makespan_a_ms {schedule_a.makespan:.3f}")
     print(f"makespan_b_ms {schedule_b.makespan:.3f}")
-    print(f"slowdown {stats.slowdown:.6f}")
+    print(f"slowdown {ratio:.6f}")
     return 0
 
 

@@ -46,7 +46,6 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from statistics import fmean
 
 import numpy as np
 
@@ -276,15 +275,16 @@ class ScheduleReport:
     violation_counts: tuple[tuple[str, int], ...] = ()
 
 
-def _window_max(values: np.ndarray, lag: int, pad: float) -> np.ndarray:
-    """Maximum over each sample's +-lag neighbours, pad beyond both ends.
+def _window_max(values: np.ndarray, lag: int) -> np.ndarray:
+    """Maximum over each sample's +-lag neighbours, zeros beyond both ends.
 
+    The values are the validator's levels, and a resting edge is at level 0.
     Windows double up to the largest power of two within 2 * lag + 1; two of
     them, one from each end, cover a full window. Max is exact, so any split
     of the windows gives the same values, in the dtype of values.
     """
     width = 2 * lag + 1
-    ends = np.full(lag, pad, dtype=values.dtype)
+    ends = np.zeros(lag, dtype=values.dtype)
     peak = np.concatenate([ends, values, ends])
     spare = peak.copy()
     span = 1
@@ -322,19 +322,20 @@ def validate_schedule(
     latest start plus one animation, and the edge rests at delta0 everywhere
     else. The second edge of a crossing is dilated by :func:`_window_max`
     over those samples. A crossing is checked where both widened spans
-    overlap, except that one whose nearer ratio lies within float noise of
-    delta0, so that the resting ratio already counts as covering, is checked
-    on the whole grid. The report is the one sampling every edge over the
-    whole grid gives, but memory grows with the animated samples, not with
-    edges times grid samples.
+    overlap. The report is the one sampling every edge over the whole grid
+    gives, but memory grows with the animated samples, not with edges times
+    grid samples.
 
-    A crossing only asks whether a ratio reaches a threshold, its nearer
-    ratio less float noise. A sample's level counts the thresholds of its
-    edge that its ratio reaches; the ratio reaches a threshold exactly when
-    the level reaches the threshold's rank, one plus the position of the
-    first equal threshold in the edge's sorted list. A running maximum
-    commutes with this non-decreasing count, so spans are kept and dilated
-    as levels: one byte per sample, two past 255 thresholds.
+    A crossing only asks whether a ratio reaches a threshold: its nearer
+    ratio less float noise, but at least the next float above delta0. So a
+    resting stub covers no avoidable crossing, as in the schedule, not even
+    one within float noise of delta0. A sample's level counts the thresholds
+    of its edge that its ratio reaches, so a resting sample is at level 0;
+    the ratio reaches a threshold exactly when the level reaches the
+    threshold's rank, one plus the position of the first equal threshold in
+    the edge's sorted list. A running maximum commutes with this
+    non-decreasing count, so spans are kept and dilated as levels: one byte
+    per sample, two past 255 thresholds.
 
     Each entry's span goes through :func:`~edgemorph.kinematics.animated_cells`,
     but its eased fractions are held back: once about :data:`EASING_BLOCK`
@@ -387,14 +388,14 @@ def validate_schedule(
             prev = ts
 
     a, b, px, py, *ratios = _crossing_table(layout, cfg.delta0)
-    nearer_a, nearer_b = (np.minimum(r, 1.0 - r) for r in ratios)
-    # The resting ratio already covers these points: check the whole grid.
-    whole = np.minimum(nearer_a, nearer_b) - _EPS_RATIO <= cfg.delta0
     # Each edge's sorted thresholds, from its crossings in either role, and
-    # each row's rank in them. Index len(layout.edges) stands for a scheduled
-    # edge outside the layout, which has none.
+    # each row's rank in them. All lie above delta0, so the resting level is
+    # 0. Index len(layout.edges) stands for a scheduled edge outside the
+    # layout, which has none.
     edge = np.concatenate([a, b])
-    threshold = np.concatenate([nearer_a, nearer_b]) - _EPS_RATIO
+    ratio = np.concatenate(ratios)
+    nearer = np.minimum(ratio, 1.0 - ratio)
+    threshold = np.maximum(nearer - _EPS_RATIO, np.nextafter(cfg.delta0, 1.0))
     order = np.lexsort((threshold, edge))
     edge, threshold = edge[order], threshold[order]
     bounds = np.searchsorted(edge, np.arange(len(layout.edges) + 2))
@@ -404,22 +405,11 @@ def validate_schedule(
     rank[order] = first_equal - bounds[edge] + 1
     index = {e.key: k for k, e in enumerate(layout.edges)}
 
-    def on_grid(first: int, levels: np.ndarray, pad: int, lo: int, hi: int) -> np.ndarray:
-        """Samples lo..hi-1 of a series that is pad outside levels."""
-        if first <= lo and hi <= first + len(levels):
-            return levels[lo - first : hi - first]
-        out = np.full(hi - lo, pad, dtype=levels.dtype)
-        a, b = max(first, lo), min(first + len(levels), hi)
-        if a < b:
-            out[a - lo : b - lo] = levels[a - first : b - first]
-        return out
-
     lag = math.floor(cfg.tau_distinct - _EPS_MS)
     # A window wider than the grid already covers all of it.
     margin = min(max(lag, 0), count)
-    # layout index -> (grid index of the first sample, levels of the widened
-    # span, level at rest)
-    series: dict[int, tuple[int, np.ndarray, int]] = {}
+    # layout index -> (grid index of the first sample, levels of the widened span)
+    series: dict[int, tuple[int, np.ndarray]] = {}
     # Entries whose eased samples wait for one easing solve across entries.
     held: list[tuple] = []
 
@@ -460,10 +450,9 @@ def validate_schedule(
         )
         k = index.get(key, len(layout.edges))
         thresholds = threshold[bounds[k] : bounds[k + 1]]
-        pad = int(thresholds.searchsorted(cfg.delta0, side="right"))
-        levels = np.full(hi - lo, pad, dtype=np.min_scalar_type(len(thresholds)))
+        levels = np.zeros(hi - lo, dtype=np.min_scalar_type(len(thresholds)))
         levels[cells] = len(thresholds)  # the hold at 1/2 reaches every threshold
-        series[k] = (lo, levels, pad)
+        series[k] = (lo, levels)
         at_zero = lo == 0 and len(cells) and cells[0] == 0
         held.append((key, lo, at_zero, levels, thresholds, cells[eased], fractions))
         waiting += len(fractions)
@@ -473,39 +462,37 @@ def validate_schedule(
     if held:
         check_held()
 
-    dilated: dict[int, tuple[int, np.ndarray, int]] = {}
+    dilated: dict[int, tuple[int, np.ndarray]] = {}
 
-    def dilate(k: int) -> tuple[int, np.ndarray, int]:
+    def dilate(k: int) -> tuple[int, np.ndarray]:
         """Maximum of the levels over +-margin samples, on the widened span.
 
         The span holds every sample within margin of an animated one and the
-        series rests beyond it, so the window maximum of the span, padded
-        with the resting level, equals the dilation of the whole grid there.
+        series rests at level 0 beyond it, so the window maximum of the span
+        equals the dilation of the whole grid there.
         """
         if k not in dilated:
-            first, levels, pad = series[k]
-            dilated[k] = (first, _window_max(levels, margin, pad), pad)
+            first, levels = series[k]
+            dilated[k] = (first, _window_max(levels, margin))
         return dilated[k]
 
     keys = [e.key for e in layout.edges]
     # Free each partner's dilated span after the last row that reads it.
     last_row = {q: row for row, q in enumerate(b.tolist())}
-    columns = (c.tolist() for c in (a, b, px, py, rank[: len(a)], rank[len(a) :], whole))
-    for row, (p, q, x, y, rank_a, rank_b, everywhere) in enumerate(zip(*columns)):
+    columns = (c.tolist() for c in (a, b, px, py, rank[: len(a)], rank[len(a) :]))
+    for row, (p, q, x, y, rank_a, rank_b) in enumerate(zip(*columns)):
         if p not in series or q not in series:
             continue
-        (first_a, levels_a, pad_a), (first_b, dilated_b, pad_b) = series[p], dilate(q)
+        (first_a, levels_a), (first_b, dilated_b) = series[p], dilate(q)
         if row == last_row[q]:
             del dilated[q]
-        if everywhere:
-            lo, hi = 0, count
-        else:
-            lo = max(first_a, first_b)
-            hi = min(first_a + len(levels_a), first_b + len(dilated_b))
+        # Both edges rest at level 0, below every rank, outside their spans.
+        lo = max(first_a, first_b)
+        hi = min(first_a + len(levels_a), first_b + len(dilated_b))
         if lo >= hi:
             continue
-        cover_a = on_grid(first_a, levels_a, pad_a, lo, hi) >= rank_a
-        near_b = on_grid(first_b, dilated_b, pad_b, lo, hi) >= rank_b
+        cover_a = levels_a[lo - first_a : hi - first_a] >= rank_a
+        near_b = dilated_b[lo - first_b : hi - first_b] >= rank_b
         clash = cover_a & near_b
         if lag < 0:
             # Coverages that only touch share one instant, allowed at 0.
@@ -561,52 +548,19 @@ def schedule_mismatches(layout: GraphLayout, schedule: Schedule) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ScheduleStats:
-    makespan_ms: float
-    edge_count: int
-    total_starts: int
-    min_starts_per_edge: int
-    mean_starts_per_edge: float
-    max_starts_per_edge: int
-    mean_inter_repeat_gap_ms: float | None
-    slowdown: float | None = None
+def slowdown(schedule: Schedule, baseline: Schedule) -> float:
+    """Makespan / baseline makespan - 1, for two schedules of the same edge set.
 
-
-def schedule_stats(schedule: Schedule, baseline: Schedule | None = None) -> ScheduleStats:
-    """Summary numbers for a schedule, optionally relative to a baseline.
-
-    The slowdown is makespan / baseline makespan - 1 and requires both
-    schedules to cover the same edge set. The inter-repeat gap is the idle
-    time between the end of one animation of an edge and the start of its
-    next one, averaged over all such pairs. The makespan is the schedule's
-    own span: a single pass when no horizon was set, repeats included
-    otherwise, so model comparisons should use schedules built the same way.
+    The makespan is the schedule's own span: a single pass when no horizon
+    was set, repeats included otherwise, so model comparisons should use
+    schedules built the same way.
     """
-    counts = [len(se.starts) for se in schedule.edges]
-    gaps: list[float] = []
-    for se in schedule.edges:
-        for prev, nxt in zip(se.starts, se.starts[1:]):
-            gaps.append(nxt - (prev + se.animation.total))
-    slowdown = None
-    if baseline is not None:
-        keys = {se.animation.edge.key for se in schedule.edges}
-        base_keys = {se.animation.edge.key for se in baseline.edges}
-        if keys != base_keys:
-            raise UsageError("schedules cover different edge sets")
-        if baseline.makespan <= 0.0:
-            raise UsageError("baseline schedule has zero makespan")
-        slowdown = schedule.makespan / baseline.makespan - 1.0
-    return ScheduleStats(
-        makespan_ms=schedule.makespan,
-        edge_count=len(schedule.edges),
-        total_starts=sum(counts),
-        min_starts_per_edge=min(counts, default=0),
-        mean_starts_per_edge=fmean(counts) if counts else 0.0,
-        max_starts_per_edge=max(counts, default=0),
-        mean_inter_repeat_gap_ms=fmean(gaps) if gaps else None,
-        slowdown=slowdown,
-    )
+    keys = {se.animation.edge.key for se in schedule.edges}
+    if keys != {se.animation.edge.key for se in baseline.edges}:
+        raise UsageError("schedules cover different edge sets")
+    if baseline.makespan <= 0.0:
+        raise UsageError("baseline schedule has zero makespan")
+    return schedule.makespan / baseline.makespan - 1.0
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:

@@ -240,6 +240,34 @@ class TestCheck:
         assert main(["check", str(layout_file), str(path)]) == 1
         assert capsys.readouterr().out.startswith("crossing-separation ")
 
+    @pytest.mark.parametrize("model", sorted(PRESETS))
+    def test_crossing_within_noise_of_the_resting_stub(self, model, tmp_path, capsys):
+        # c-d crosses a-b 5e-10 px beyond a-b's resting stub: the crossing is
+        # avoidable, and a-b covers it only while it animates.
+        layout = {
+            "nodes": [
+                {"id": "a", "x": 0, "y": 0},
+                {"id": "b", "x": 1000, "y": 0},
+                {"id": "c", "x": 250.0000000005, "y": -500},
+                {"id": "d", "x": 250.0000000005, "y": 500},
+            ],
+            "edges": [{"source": "a", "target": "b"}, {"source": "c", "target": "d"}],
+        }
+        layout_path, path = tmp_path / "layout.json", tmp_path / "s.json"
+        layout_path.write_text(json.dumps(layout), encoding="utf-8")
+        assert main(["schedule", str(layout_path), "--model", model, "-o", str(path)]) == 0
+        assert main(["check", str(layout_path), str(path)]) == 0
+        if model != "slowlin":
+            return
+        # c-d holds at the crossing 50 ms after a-b stops animating; 45 ms clashes.
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["edges"][1]["starts_ms"] == [2650.0]
+        doc["edges"][1]["starts_ms"] = [2645.0]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(layout_path), str(path)]) == 1
+        assert capsys.readouterr().out.startswith("crossing-separation ")
+
     def test_start_past_the_horizon_fails(self, tmp_path, capsys):
         layout_path = DATA_DIR / "sample_dense_40.json"
         path = tmp_path / "h.json"

@@ -37,7 +37,7 @@ schedule = compute_schedule(layout, cfg)
 
 # A single mid-animation frame as text.
 t = schedule.makespan / 2.0
-(svg,) = frame_texts(layout, cfg, schedule, [t])
+(svg,) = frame_texts(layout, schedule, [t])
 print(f"frame at {t:.0f} ms: {svg.count('<line')} line elements, "
       f"{svg.count('<circle')} node disks")
 
@@ -48,7 +48,7 @@ print("open the animation in any browser:")
 print(f"  {written[-1]}")
 
 # Region-count trials highlight whole node groups with a translucent tint.
-(tinted,) = frame_texts(layout, cfg, schedule, [t], regions=(("a", "c"), ("b", "d")))
+(tinted,) = frame_texts(layout, schedule, [t], regions=(("a", "c"), ("b", "d")))
 tinted_path = out_dir / "regions.svg"
 tinted_path.write_text(tinted, encoding="utf-8")
 print(f"region-tinted frame: {tinted_path}")

@@ -144,22 +144,16 @@ def _cmd_render(args) -> int:
     schedule = parse_schedule(_read(args.schedule))
     if _refuse_mismatched(layout, schedule):
         return 1
-    cfg = schedule.config
     out_dir = Path(args.out)
     if args.frame_at is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (text,) = frame_texts(layout, cfg, schedule, [args.frame_at])
+        (text,) = frame_texts(layout, schedule, [args.frame_at])
         path = out_dir / f"frame_at_{args.frame_at:.3f}ms.svg"
         path.write_text(text, encoding="utf-8")
         print(path)
         return 0
     written = export_animation(
-        layout,
-        cfg,
-        schedule,
-        out_dir,
-        frames=not args.animated,
-        animated=args.animated,
+        layout, schedule.config, schedule, out_dir, frames=not args.animated, animated=args.animated
     )
     print(f"wrote {len(written)} files to {out_dir}")
     return 0

@@ -179,6 +179,14 @@ def animated_cells(
     return cells, eased, fractions / (tau[eased] if tau.ndim else tau)
 
 
+def sample_times(times: Sequence[float]) -> np.ndarray:
+    """Times as a float array; RangeError unless they are finite and ascending."""
+    t = np.asarray(times, dtype=float)
+    if not (np.isfinite(t).all() and (t[1:] >= t[:-1]).all()):
+        raise RangeError("sample times must be finite and ascending")
+    return t
+
+
 def stub_ratio_matrix(
     cfg: AnimationConfig,
     edges: Sequence[tuple[EdgeAnimation, Sequence[float]] | None],
@@ -190,8 +198,10 @@ def stub_ratio_matrix(
     an edge that never animates. All starts go through one call of
     :func:`animated_cells`, row r at cell offset r * len(times), and all eased
     fractions through one easing evaluation; every other cell rests at delta0.
+    Times must be finite and ascending (equal neighbours are fine); any other
+    list raises RangeError, since the kernel's search would misplace them.
     """
-    t = np.asarray(times, dtype=float)
+    t = sample_times(times)
     out = np.full((len(edges), t.size), cfg.delta0)
     rows = [(row, *entry) for row, entry in enumerate(edges) if entry is not None]
     counts = [len(starts) for _, _, starts in rows]
@@ -245,15 +255,7 @@ def config_to_dict(cfg: AnimationConfig) -> dict:
     }
 
 
-_CONFIG_KEYS = {
-    "sigma_a_px_s",
-    "delta0",
-    "tau_half_ms",
-    "tau_distinct_ms",
-    "easing",
-    "fps",
-    "horizon_ms",
-}
+_CONFIG_KEYS = frozenset(config_to_dict(PRESETS["slowlin"]))
 
 
 def config_from_dict(doc: dict) -> AnimationConfig:
@@ -262,10 +264,9 @@ def config_from_dict(doc: dict) -> AnimationConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     easing = doc.get("easing", "linear")
-    if isinstance(easing, str):
-        easing_spec = parse_easing(easing)
-    else:
+    if not isinstance(easing, str):
         raise ConfigError("easing must be a string")
+    easing_spec = parse_easing(easing)
     try:
         return AnimationConfig(
             sigma_a=json_number(doc.get("sigma_a_px_s", 100.0)),

@@ -1,8 +1,8 @@
 """Frame sampling and SVG output for scheduled drawings.
 
-Rendering is a pure function of layout, configuration, schedule, timestamp
-and region groups: identical inputs give byte-identical documents. There is
-one drawing style: nodes are drawn as filled disks, coloured by role, over
+Rendering is a pure function of layout, schedule (with its own config),
+timestamp and region groups: identical inputs give byte-identical documents.
+There is one drawing style: nodes are drawn as filled disks, coloured by role, over
 black edge stubs on a white background; the drawing area is the node bounding
 box plus a 10 px margin. Coordinates are written with three decimal places.
 
@@ -24,7 +24,7 @@ embeds per-stub tip keyframes, sampled at the configured frame rate, as
 declarative animation elements in one self-contained SVG, so linear and cubic
 easing share a single export path.
 
-Most edge-frames rest at exactly ``cfg.delta0``, and a line's text depends
+Most edge-frames rest at exactly ``delta0``, and a line's text depends
 only on its edge and ratio. Each export therefore formats every edge's resting
 text once, from :func:`_tips` at ``delta0``, and formats only the edge-frames
 whose ratio differs, each with one ``%`` on its edge's template (none at
@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import ConfigError, UsageError
 from .graph import GraphLayout, NodeSpec, Point
-from .kinematics import AnimationConfig, stub_ratio_matrix
-from .scheduling import Schedule
+from .kinematics import AnimationConfig, sample_times, stub_ratio_matrix
+from .scheduling import Schedule, own_config
 
 MARGIN_PX = 10.0
 #: Most frames one export may sample: about 55 minutes at 30 fps.
@@ -52,16 +52,11 @@ MAX_FRAMES = 100_000
 FRAME_BLOCK = 256
 
 
-def _stub_ratios(
-    layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule, times: Sequence[float]
-) -> np.ndarray:
-    """Stub ratios, edges x times; edges without a live animation rest."""
-    by_key = schedule.starts_by_key()
-    entries = []
-    for edge in layout.edges:
-        scheduled = by_key.get(edge.key)
-        entries.append(None if scheduled is None else (scheduled.animation, scheduled.starts))
-    return stub_ratio_matrix(cfg, entries, times)
+def _aligned(layout: GraphLayout, schedule: Schedule) -> list:
+    """Each layout edge's (animation, starts), or None where the schedule has
+    no entry: the rows of :func:`~edgemorph.kinematics.stub_ratio_matrix`."""
+    by_key = {se.animation.edge.key: (se.animation, se.starts) for se in schedule.edges}
+    return [by_key.get(edge.key) for edge in layout.edges]
 
 
 def _tips(
@@ -84,9 +79,9 @@ def _tips(
     )
 
 
-def _resting_tips(layout: GraphLayout, cfg: AnimationConfig) -> list[list[float]]:
-    """Each edge's source and target tips at ``cfg.delta0``: rows of (x1, y1, x2, y2)."""
-    resting = np.full((len(layout.edges), 1), cfg.delta0)
+def _resting_tips(layout: GraphLayout, delta0: float) -> list[list[float]]:
+    """Each edge's source and target tips at ``delta0``: rows of (x1, y1, x2, y2)."""
+    resting = np.full((len(layout.edges), 1), delta0)
     return np.hstack(_tips(layout, resting)).tolist()
 
 
@@ -203,22 +198,24 @@ def frame_timestamps(makespan: float, fps: float) -> list[float]:
 
 def frame_texts(
     layout: GraphLayout,
-    cfg: AnimationConfig,
     schedule: Schedule,
     times: Sequence[float],
     regions: tuple[tuple[str, ...], ...] = (),
 ) -> Iterator[str]:
-    """SVG text of the frame at each time, sampled :data:`FRAME_BLOCK` frames
-    at a time; each block formats only its moving edge-frames. Each node of the
-    ``regions`` id groups gets a translucent halo under every edge, written once
-    into the document head; an id that names no node raises UsageError. Every
-    frame is drawn in the module's one style."""
+    """SVG text of the frame at each time, under the schedule's own config,
+    sampled :data:`FRAME_BLOCK` frames at a time; each block formats only its
+    moving edge-frames. Times must be finite and ascending, or RangeError is
+    raised. Each node of the ``regions`` id groups gets a translucent halo
+    under every edge, written once into the document head; an id that names
+    no node raises UsageError. Every frame is drawn in the module's one style."""
+    cfg, times = schedule.config, sample_times(times)
     ends = _document_ends(layout.nodes, regions)
     templates = _edge_templates([layout.endpoints(edge) for edge in layout.edges])
-    rest = enumerate(_resting_tips(layout, cfg))
+    rest = enumerate(_resting_tips(layout, cfg.delta0))
     resting = _edge_texts(templates, ((i, cfg.delta0, *tips) for i, tips in rest))
+    entries = _aligned(layout, schedule)
     for first in range(0, len(times), FRAME_BLOCK):
-        ratios = _stub_ratios(layout, cfg, schedule, times[first : first + FRAME_BLOCK])
+        ratios = stub_ratio_matrix(cfg, entries, times[first : first + FRAME_BLOCK])
         moving = ratios != cfg.delta0
         arrays = (ratios, *_tips(layout, ratios))
         cells = zip(np.nonzero(moving)[0].tolist(), *(a[moving].tolist() for a in arrays))
@@ -227,17 +224,17 @@ def frame_texts(
             yield _document(ends, body)
 
 
-def _animated_svg(
-    layout: GraphLayout, cfg: AnimationConfig, times: list[float], ratios: np.ndarray
-) -> str:
+def _animated_svg(layout: GraphLayout, schedule: Schedule, times: list[float]) -> str:
+    cfg = schedule.config
     duration = times[-1] if times[-1] > 0 else 1000.0 / cfg.fps
     dur = _fmt(duration)
     key_times = ";".join(f"{t / duration:.6f}" for t in times)
+    ratios = stub_ratio_matrix(cfg, _aligned(layout, schedule), times)
     tips = _tips(layout, ratios)
     firsts = np.hstack([a[:, :1] for a in tips]).tolist()
     moving = ratios != cfg.delta0
     keyframes = []
-    for a, rest in zip(tips, zip(*_resting_tips(layout, cfg))):
+    for a, rest in zip(tips, zip(*_resting_tips(layout, cfg.delta0))):
         text = _over_resting(list(map(_fmt, rest)), moving, list(map(_fmt, a[moving].tolist())))
         keyframes.append(map(";".join, text.tolist()))
     body = []
@@ -265,27 +262,27 @@ def export_animation(
 ) -> list[Path]:
     """Write frame files and/or the animated document into a directory.
 
-    Frames are named frame_%06d.svg and sampled at the configured frame rate
-    from time zero through the first frame at or past the makespan; the
-    animated document is animation.svg, both in the module's one style.
-    Returns the written paths in order.
-    Frame files are sampled in blocks of :data:`FRAME_BLOCK` frames, the
-    animated document, whose text holds every value anyway, in one. An export of
-    more than :data:`MAX_FRAMES` frames raises ConfigError before the
-    directory is created.
+    The schedule is drawn under its own config, ``schedule.config``: the
+    positional ``cfg`` must equal it, and any other raises UsageError. Frames
+    are named frame_%06d.svg and sampled at the config's frame rate from time
+    zero through the first frame at or past the makespan, in blocks of
+    :data:`FRAME_BLOCK`; the animated document, animation.svg, whose text
+    holds every value anyway, in one. Both use the module's one style. More
+    than :data:`MAX_FRAMES` frames raise ConfigError before the directory is
+    created. Returns the written paths in order.
     """
+    cfg = own_config(cfg, schedule)
     times = frame_timestamps(schedule.makespan, cfg.fps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if frames:
-        for k, text in enumerate(frame_texts(layout, cfg, schedule, times)):
+        for k, text in enumerate(frame_texts(layout, schedule, times)):
             path = out_dir / f"frame_{k:06d}.svg"
             path.write_text(text, encoding="utf-8")
             written.append(path)
     if animated:
-        ratios = _stub_ratios(layout, cfg, schedule, times)
         path = out_dir / "animation.svg"
-        path.write_text(_animated_svg(layout, cfg, times, ratios), encoding="utf-8")
+        path.write_text(_animated_svg(layout, schedule, times), encoding="utf-8")
         written.append(path)
     return written

@@ -95,6 +95,18 @@ class Schedule:
         return {se.animation.edge.key: se for se in self.edges}
 
 
+def _end(edges) -> float:
+    """When the last animation of these scheduled edges ends; 0 without starts."""
+    return max((ts + se.animation.total for se in edges for ts in se.starts), default=0.0)
+
+
+def own_config(cfg: AnimationConfig, schedule: Schedule) -> AnimationConfig:
+    """The schedule's config, which check and render read; UsageError if ``cfg`` differs."""
+    if cfg != schedule.config:
+        raise UsageError("cfg must be the schedule's own config, schedule.config")
+    return schedule.config
+
+
 def forbidden_start_window(
     reach: float,
     total: float,
@@ -225,10 +237,7 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
         ScheduledEdge(animations[k], tuple(starts[k]))
         for k in sorted(range(len(edges)), key=lambda k: edges[k].key)
     )
-    makespan = max(
-        (ts + se.animation.total for se in scheduled for ts in se.starts),
-        default=0.0,
-    )
+    makespan = _end(scheduled)
     if not makespan < MAX_SAMPLES:
         raise ConfigError(
             f"schedule ends at {makespan} ms; check samples only before {MAX_SAMPLES} ms"
@@ -303,6 +312,8 @@ def validate_schedule(
 ) -> ScheduleReport:
     """Brute-force check of a schedule by time sampling.
 
+    The schedule is checked under its own config, ``schedule.config``: the
+    positional ``cfg`` must equal it, and any other raises UsageError.
     Samples every edge's ratio on a 1 ms grid over the whole schedule and
     checks: (a) ratios stay within [delta0, 1/2]; (b) for every avoidable
     crossing the two edges never cover the point within tau_distinct of each
@@ -344,10 +355,8 @@ def validate_schedule(
     bit the ones rendering draws; they live only until the block's levels
     and its ratio-range and initial-frame checks are done.
     """
-    end = schedule.makespan
-    for se in schedule.edges:
-        for ts in se.starts:
-            end = max(end, ts + se.animation.total)
+    cfg = own_config(cfg, schedule)
+    end = max(schedule.makespan, _end(schedule.edges))
     span = end if end > 0 else 0.0
     if not span < MAX_SAMPLES:
         raise RangeError(f"{end} ms at 1.0 ms steps needs more than {MAX_SAMPLES} samples")
@@ -629,10 +638,7 @@ def schedule_from_dict(doc: dict) -> Schedule:
             )
         anim = EdgeAnimation(edge=edge, tau=tau, total=total)
         edges.append(ScheduledEdge(anim, starts))
-    makespan = max(
-        (ts + se.animation.total for se in edges for ts in se.starts),
-        default=0.0,
-    )
+    makespan = _end(edges)
     if not math.isfinite(makespan):
         raise ParseError(f"schedule makespan overflows: {makespan}")
     return Schedule(config=cfg, edges=tuple(edges), makespan=makespan)

@@ -321,9 +321,9 @@ def test_criterion_9_determinism_and_round_trips(tmp_path, data_dir):
         if reread != first:
             problems.append(f"{preset} schedule round-trip not exact")
         for t in (0.0, 499.0, first.makespan / 2.0, first.makespan):
-            (direct,) = frame_texts(layout, cfg, first, [t])
-            (again,) = frame_texts(layout, cfg, first, [t])
-            (via_file,) = frame_texts(layout, reread.config, reread, [t])
+            (direct,) = frame_texts(layout, first, [t])
+            (again,) = frame_texts(layout, first, [t])
+            (via_file,) = frame_texts(layout, reread, [t])
             if direct != again:
                 problems.append(f"{preset} frame at {t} not reproducible")
             if direct != via_file:

@@ -604,8 +604,8 @@ class TestRender:
         direct = compute_schedule(layout, PRESETS["slowlin"])
         reread = parse_schedule(schedule_file.read_bytes())
         for t in (0.0, 137.0, 1050.0, 2249.0):
-            (a,) = frame_texts(layout, direct.config, direct, [t])
-            (b,) = frame_texts(layout, reread.config, reread, [t])
+            (a,) = frame_texts(layout, direct, [t])
+            (b,) = frame_texts(layout, reread, [t])
             assert a == b
 
     def test_frame_ceiling_is_domain_error(self, layout_file, tmp_path, capsys):

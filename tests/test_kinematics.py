@@ -297,3 +297,10 @@ def test_microsecond_grid_overflow_is_range_error(value):
     for round_ms in (quantize_ms, ceil_ms):
         with pytest.raises(RangeError):
             round_ms(value)
+
+
+def test_unknown_config_keys_are_listed():
+    doc = {**config_to_dict(SLOWEAS), "zeta": 1, "alpha": 2}
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['alpha', 'zeta'\]$"):
+        config_from_dict(doc)
+    assert config_from_dict(config_to_dict(SLOWEAS)) == SLOWEAS

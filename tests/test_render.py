@@ -17,6 +17,7 @@ from edgemorph import (
     GraphLayout,
     NodeSpec,
     PRESETS,
+    RangeError,
     Schedule,
     UsageError,
     compute_schedule,
@@ -50,7 +51,7 @@ def golden_fixture_svg():
     """Mid-animation frame of the five-node layout."""
     layout = five_node_layout()
     schedule = compute_schedule(layout, SLOWLIN)
-    (svg,) = frame_texts(layout, SLOWLIN, schedule, [400.0])
+    (svg,) = frame_texts(layout, schedule, [400.0])
     return svg
 
 
@@ -70,7 +71,7 @@ def ratios_at(layout, cfg, schedule, t):
 
 
 def frame_at(layout, schedule, t, **kwargs):
-    (svg,) = frame_texts(layout, schedule.config, schedule, [t], **kwargs)
+    (svg,) = frame_texts(layout, schedule, [t], **kwargs)
     return svg
 
 
@@ -186,7 +187,7 @@ class TestFrameToSvg:
     def test_region_with_unknown_node_is_usage_error(self, k4_layout):
         schedule = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
         regions = (("p",), ("q", "nope"))
-        frames = frame_texts(k4_layout, SLOWLIN, schedule, [0.0, 100.0], regions=regions)
+        frames = frame_texts(k4_layout, schedule, [0.0, 100.0], regions=regions)
         # raised by the first next(), before any frame is yielded
         with pytest.raises(UsageError, match=r"^regions name nodes not in the frame: \['nope'\]$"):
             next(frames)
@@ -210,8 +211,8 @@ class TestRegionHalos:
         layout, cfg, schedule = multi_start_schedule("sloweas", True)
         times = frame_timestamps(schedule.makespan, cfg.fps)
         assert len(times) > render.FRAME_BLOCK
-        tinted = list(frame_texts(layout, cfg, schedule, times, regions=(("p", "t"), ("r",))))
-        plain = list(frame_texts(layout, cfg, schedule, times))
+        tinted = list(frame_texts(layout, schedule, times, regions=(("p", "t"), ("r",))))
+        plain = list(frame_texts(layout, schedule, times))
         halos = halo_lines(tinted[0])
         assert len(halos) == 3
         for svg, untinted in zip(tinted, plain, strict=True):
@@ -222,9 +223,58 @@ class TestRegionHalos:
         layout, cfg, schedule = multi_start_schedule("fasteas", False)
         times = frame_timestamps(schedule.makespan, cfg.fps)
         written = export_animation(layout, cfg, schedule, tmp_path)
-        texts = frame_texts(layout, cfg, schedule, times, regions=())
+        texts = frame_texts(layout, schedule, times, regions=())
         for path, text in zip(written, texts, strict=True):
             assert path.read_bytes() == text.encode("utf-8")
+
+
+class TestOwnConfig:
+    """Frames are drawn under the schedule's own config and no other."""
+
+    def test_frames_rest_at_the_schedules_own_delta0(self, cross_layout, cross_schedule):
+        other = replace(cross_schedule, config=replace(SLOWLIN, delta0=0.1))
+        for ratio, schedule in ((0.25, cross_schedule), (0.1, other)):
+            stub = stub_pair(cross_layout, ("a", "b"), ratio)
+            sx, sy = stub.segment_source[1]
+            assert f'x2="{sx:.3f}" y2="{sy:.3f}"' in frame_at(cross_layout, schedule, 0.0)
+
+    def test_another_config_is_refused_before_any_write(self, tmp_path):
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        cfg = PRESETS["sloweas"]
+        placed_with = replace(cfg, tau_distinct=10.0)
+        forged = replace(compute_schedule(layout, placed_with), config=cfg)
+        for animated in (False, True):
+            with pytest.raises(UsageError, match=r"^cfg must be the schedule's own config"):
+                export_animation(layout, placed_with, forged, tmp_path / "out", animated=animated)
+        assert not (tmp_path / "out").exists()
+
+
+class TestSampleTimes:
+    """Frame times must be finite and ascending; equal neighbours are fine."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        return layout, compute_schedule(layout, PRESETS["sloweas"])
+
+    @pytest.mark.parametrize("times", [[3000.0, 0.0], [0.0, math.nan], [math.inf], [-math.inf]])
+    def test_descending_or_non_finite_times_are_range_errors(self, sample, times):
+        layout, schedule = sample
+        with pytest.raises(RangeError, match="^sample times must be finite and ascending$"):
+            next(frame_texts(layout, schedule, times))
+        with pytest.raises(RangeError, match="finite and ascending"):
+            stub_ratio_matrix(schedule.config, kernel_entries(layout, schedule), times)
+
+    def test_descent_between_frame_blocks_is_a_range_error(self, sample, monkeypatch):
+        layout, schedule = sample
+        monkeypatch.setattr(render, "FRAME_BLOCK", 1)
+        with pytest.raises(RangeError):
+            next(frame_texts(layout, schedule, [3000.0, 0.0]))
+
+    def test_equal_times_draw_equal_frames(self, sample):
+        layout, schedule = sample
+        first, second = frame_texts(layout, schedule, [3000.0, 3000.0])
+        assert first == second == frame_at(layout, schedule, 3000.0)
 
 
 class TestExport:
@@ -660,7 +710,9 @@ def test_frames_export_memory_does_not_grow_with_frames(tmp_path, monkeypatch):
         cfg = replace(schedule.config, fps=(frames - 1) * 1000.0 / schedule.makespan)
         tracemalloc.start()
         try:
-            written = export_animation(layout, cfg, schedule, tmp_path / str(frames))
+            written = export_animation(
+                layout, cfg, replace(schedule, config=cfg), tmp_path / str(frames)
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -942,7 +942,8 @@ class TestWindowMax:
         monkeypatch.setattr(scheduling, "_window_max", compared)
         for variant in (schedule, shifted):
             for tau_distinct in (72.0, 50.0, 25.0):
-                validate_schedule(layout, replace(cfg, tau_distinct=tau_distinct), variant)
+                other = replace(cfg, tau_distinct=tau_distinct)
+                validate_schedule(layout, other, replace(variant, config=other))
         assert lags == {71, 49, 24}
 
 
@@ -1151,7 +1152,7 @@ def test_starts_ending_past_the_horizon_fail(over, fails):
         (violation,) = report.violations
         assert (violation.time_ms, violation.edges) == (starts[-1], (last.animation.edge.key,))
     # Without a horizon the same starts pass.
-    assert validate_schedule(layout, SLOWLIN, late).passed
+    assert validate_schedule(layout, SLOWLIN, replace(late, config=SLOWLIN)).passed
 
 
 class TestValidatorGrid:
@@ -1177,3 +1178,27 @@ class TestValidatorGrid:
         report = validate_schedule(cross_layout, cfg, schedule)
         assert report.passed
         assert 170_000 < report.sample_count <= scheduling.MAX_SAMPLES
+
+
+class TestOwnConfig:
+    """The validator checks a schedule under its own config and no other."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+
+    def test_forged_config_is_refused_and_fails_under_its_own(self, sample):
+        # Placed with 10 ms distinctness, but stored with the preset's 50 ms.
+        cfg = PRESETS["sloweas"]
+        placed_with = replace(cfg, tau_distinct=10.0)
+        forged = replace(compute_schedule(sample, placed_with), config=cfg)
+        with pytest.raises(UsageError, match=r"^cfg must be the schedule's own config"):
+            validate_schedule(sample, placed_with, forged)
+        report = validate_schedule(sample, forged.config, forged)
+        assert report.violation_counts == (("crossing-separation", 126),)
+
+    def test_another_preset_is_refused(self, sample):
+        schedule = compute_schedule(sample, PRESETS["slowlin"])
+        with pytest.raises(UsageError):
+            validate_schedule(sample, PRESETS["sloweas"], schedule)
+        assert validate_schedule(sample, schedule.config, schedule).passed

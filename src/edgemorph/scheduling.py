@@ -20,19 +20,12 @@ retired, and the repeat passes end when no edge is left.
 The first pass always places every edge once and every start is at or after
 time zero, so the frame at time zero shows the resting drawing.
 
-:func:`validate_schedule` is an independent check: it samples every edge's
-stub ratio on a 1 ms time grid and verifies ratio bounds, crossing-point
-separation, per-edge start separation, the horizon and the resting initial
-frame, without reusing any of the interval arithmetic that placed the starts.
-An edge rests at delta0 outside its animated span, so only that span, widened
-on each side by the distinctness time, is sampled: memory grows with the
-animated samples, not with edges times the grid. The spans go through the stub-ratio
-kernel that rendering uses, and the eased samples of consecutive edges are
-solved together, one easing call per block of about :data:`EASING_BLOCK`
-fractions, so the easing cost is arithmetic, not call overhead. Float ratios
-live only within such a block: spans are kept as levels, one byte per sample
-(see :func:`validate_schedule`), and each crossing partner's levels are
-dilated over the distinctness window by a numpy running maximum.
+:func:`validate_schedule` is an independent check of ratio bounds,
+crossing-point separation, per-edge start separation, the horizon and the
+resting initial frame on a 1 ms time grid. It reuses none of the interval
+arithmetic that placed the starts: by bisection on the forward easing, with
+the ratios rendering draws, it finds the grid samples where each start
+covers each crossing point, as ranges, and compares crossing partners'.
 
 All starts are quantized to microseconds when placed (rounding up, which can
 only relax separations), so serialized schedules with times at 3 decimal
@@ -56,7 +49,6 @@ from .graph import EdgeSpec, GraphLayout, json_number, json_object
 from .kinematics import (
     AnimationConfig,
     EdgeAnimation,
-    animated_cells,
     ceil_ms,
     config_from_dict,
     config_to_dict,
@@ -70,11 +62,6 @@ _EPS_RATIO = 1e-12  # forgiveness for float noise in ratio comparisons
 MAX_SAMPLES = 1_000_000
 #: Most starts one schedule may hold: about a second of repeat passes.
 MAX_STARTS = 100_000
-#: Eased fractions the validator collects across edges before one easing
-#: solve: large enough that per-call overhead no longer dominates, small
-#: enough that the solver's temporaries stay in cache and a batch never
-#: holds the whole schedule.
-EASING_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -284,84 +271,94 @@ class ScheduleReport:
     violation_counts: tuple[tuple[str, int], ...] = ()
 
 
-def _window_max(values: np.ndarray, lag: int) -> np.ndarray:
-    """Maximum over each sample's +-lag neighbours, zeros beyond both ends.
+def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs first[i], ..., first[i] + lengths[i] - 1, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(first - lengths.cumsum() + lengths, lengths)
 
-    The values are the validator's levels, and a resting edge is at level 0.
-    Windows double up to the largest power of two within 2 * lag + 1; two of
-    them, one from each end, cover a full window. Max is exact, so any split
-    of the windows gives the same values, in the dtype of values.
+
+def _owned(
+    entry: np.ndarray, starts: np.ndarray, total: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid range [lo, hi) that each start owns on a grid of count samples.
+
+    Starts come grouped by entry, in listed order, each with its entry's
+    total. A start animates the samples t with start < t < start + total,
+    and the later-listed start of an entry owns a sample that two of its
+    spans share, as in :func:`~edgemorph.kinematics.animated_cells`. The
+    spans of one entry have one length, so a later span cuts off a prefix of
+    another (it starts no later) or a suffix (no earlier): one range is left.
     """
-    width = 2 * lag + 1
-    ends = np.zeros(lag, dtype=values.dtype)
-    peak = np.concatenate([ends, values, ends])
-    spare = peak.copy()
-    span = 1
-    while 2 * span <= width:
-        # Two buffers, because numpy copies an input that overlaps the output.
-        np.maximum(peak[:-span], peak[span:], out=spare[:-span])
-        peak, spare = spare, peak
-        span *= 2
-    # peak[i] is now the max of padded samples i .. i + span - 1.
-    n = len(values)
-    return np.maximum(peak[:n], peak[width - span : width - span + n])
+    lo = np.clip(np.floor(starts) + 1, 0, count).astype(int)
+    hi = np.clip(np.ceil(starts + total), 0, count).astype(int)
+    own_lo, own_hi = lo.copy(), hi.copy()
+    # In a sorted entry the next start cuts a suffix, all of it when equal.
+    same = entry[1:] == entry[:-1]
+    own_hi[:-1][same] = np.minimum(hi[:-1], lo[1:])[same]
+    for n in np.unique(entry[1:][same & (starts[1:] < starts[:-1])]).tolist():
+        listed = np.flatnonzero(entry == n)
+        order = listed[np.argsort(starts[listed], kind="stable")].tolist()
+        place = {j: p for p, j in enumerate(order)}
+        left, right = list(range(-1, len(order) - 1)), list(range(1, len(order) + 1))
+        # Unlinked in listed order, a start's neighbours in time are the
+        # nearest later-listed starts.
+        for j in listed.tolist():
+            p = place[j]
+            own_lo[j], own_hi[j] = lo[j], hi[j]  # not the sorted rule's cut
+            if left[p] >= 0:
+                own_lo[j] = max(lo[j], hi[order[left[p]]])
+                right[left[p]] = right[p]
+            if right[p] < len(order):
+                own_hi[j] = min(hi[j], lo[order[right[p]]])
+                left[right[p]] = left[p]
+    return own_lo, own_hi
 
 
 def validate_schedule(
     layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule
 ) -> ScheduleReport:
-    """Brute-force check of a schedule by time sampling.
+    """Independent check of a schedule at the 1 ms grid samples up to its end.
 
     The schedule is checked under its own config, ``schedule.config``: the
     positional ``cfg`` must equal it, and any other raises UsageError.
-    Samples every edge's ratio on a 1 ms grid over the whole schedule and
-    checks: (a) ratios stay within [delta0, 1/2]; (b) for every avoidable
+    Checks: (a) probed ratios stay within [delta0, 1/2]; (b) for every avoidable
     crossing the two edges never cover the point within tau_distinct of each
     other (a gap of exactly tau_distinct is fine; at 0 coverages may touch,
     so a clash takes two consecutive samples); (c) per-edge starts are
     non-negative, sorted, and separated by a full animation plus tau_distinct;
     (d) everything rests at delta0 at time zero; (e) no edge is scheduled
     more than once; (f) with a horizon set, every animation ends by it.
-    Checks (a), (c), (d) and (f) run on every entry of a duplicated edge, and
-    (b) on its last entry. Edges absent from the schedule are treated as
-    never animating. A grid of more than :data:`MAX_SAMPLES` samples raises
-    RangeError before anything is allocated. The first 100 violations are
-    listed, and all are counted by kind.
+    Checks (c), (d) and (f) run on every entry of a duplicated edge, and (b)
+    on its last entry. Edges absent from the schedule are treated as never
+    animating. A non-finite start raises RangeError naming its edge, and a
+    grid of more than :data:`MAX_SAMPLES` samples RangeError, before
+    anything is eased. The first 100 violations are listed, and all are
+    counted by kind.
 
-    Only each edge's animated span is sampled, widened on each side by the
-    samples within tau_distinct: the span runs from its earliest start to its
-    latest start plus one animation, and the edge rests at delta0 everywhere
-    else. The second edge of a crossing is dilated by :func:`_window_max`
-    over those samples. A crossing is checked where both widened spans
-    overlap. The report is the one sampling every edge over the whole grid
-    gives, but memory grows with the animated samples, not with edges times
-    grid samples.
-
-    A crossing only asks whether a ratio reaches a threshold: its nearer
-    ratio less float noise, but at least the next float above delta0. So a
-    resting stub covers no avoidable crossing, as in the schedule, not even
-    one within float noise of delta0. A sample's level counts the thresholds
-    of its edge that its ratio reaches, so a resting sample is at level 0;
-    the ratio reaches a threshold exactly when the level reaches the
-    threshold's rank, one plus the position of the first equal threshold in
-    the edge's sorted list. A running maximum commutes with this
-    non-decreasing count, so spans are kept and dilated as levels: one byte
-    per sample, two past 255 thresholds.
-
-    Each entry's span goes through :func:`~edgemorph.kinematics.animated_cells`,
-    but its eased fractions are held back: once about :data:`EASING_BLOCK`
-    wait, one easing call solves them all and the held entries are checked
-    in schedule order. The easing is elementwise, so the ratios are bit for
-    bit the ones rendering draws; they live only until the block's levels
-    and its ratio-range and initial-frame checks are done.
+    A crossing only asks when a ratio reaches a threshold: its nearer ratio
+    less float noise, but at least the next float above delta0, so a resting
+    stub covers no avoidable crossing, as in the schedule. Within one start
+    the ratio rises, holds at 1/2 and falls, so the samples where it reaches
+    a threshold form one range. One vectorised bisection over every start of
+    every distinct (edge, threshold) pair finds both ends of those ranges,
+    within the samples that each start owns. Each probe computes the ratio
+    as :func:`~edgemorph.kinematics.animated_cells` does, through the
+    forward easing only, so no arithmetic is shared with placement; the
+    bisection rests on eased ratios never decreasing along the grid, which
+    ``tests/test_easing.py`` pins. A crossing clashes where a range of its
+    first edge meets one of its second widened by the samples within
+    tau_distinct, and the first such sample is reported. The sample at time
+    0 is probed for entries with a start below 0; (a) sees probes only.
     """
     cfg = own_config(cfg, schedule)
+    for se in schedule.edges:
+        if not all(map(math.isfinite, se.starts)):
+            source, target = se.animation.edge.key
+            raise RangeError(f"non-finite start in schedule edge {source}-{target}")
     end = max(schedule.makespan, _end(schedule.edges))
     span = end if end > 0 else 0.0
     if not span < MAX_SAMPLES:
         raise RangeError(f"{end} ms at 1.0 ms steps needs more than {MAX_SAMPLES} samples")
     count = int(np.floor(span)) + 1
-    times = np.arange(count, dtype=float)
 
     violations: list[ScheduleViolation] = []
     counts: dict[str, int] = {}
@@ -377,12 +374,16 @@ def validate_schedule(
 
     # compute_schedule places starts within the same bound.
     horizon = math.inf if cfg.horizon is None else cfg.horizon + _EPS_MS
-    for se in schedule.edges:
+    # entry -> its last-listed start below 0: it owns the sample at time 0
+    at_zero: dict[int, float] = {}
+    for n, se in enumerate(schedule.edges):
         key = se.animation.edge.key
         prev = None
         for ts in se.starts:
             if ts < 0.0:
                 add("start-separation", ts, (key,), "negative start")
+                if 0.0 < ts + se.animation.total:
+                    at_zero[n] = ts
             if (ends := ts + se.animation.total) > horizon:
                 add("horizon", ts, (key,), f"ends at {ends} ms > horizon {cfg.horizon} ms")
             if prev is not None:
@@ -396,124 +397,120 @@ def validate_schedule(
                     )
             prev = ts
 
-    a, b, px, py, *ratios = _crossing_table(layout, cfg.delta0)
-    # Each edge's sorted thresholds, from its crossings in either role, and
-    # each row's rank in them. All lie above delta0, so the resting level is
-    # 0. Index len(layout.edges) stands for a scheduled edge outside the
-    # layout, which has none.
-    edge = np.concatenate([a, b])
-    ratio = np.concatenate(ratios)
+    taus = np.array([se.animation.tau for se in schedule.edges])
+    totals = np.array([se.animation.total for se in schedule.edges])
+    least, most = cfg.delta0 - _EPS_RATIO, 0.5 + _EPS_RATIO
+    off_curve: dict[int, tuple[float, float]] = {}  # entry -> first (time, ratio)
+
+    def drawn(entries, starts, times):
+        """Growing and retracting masks, and ratios, of starts at grid times.
+
+        The kernel's arithmetic, bit for bit. Ratios outside [delta0, 1/2]
+        are noted for their entries.
+        """
+        tau = taus[entries]
+        rel = times - starts
+        growing = rel < tau
+        retracting = rel > tau + cfg.tau_half
+        eased = growing | retracting
+        fractions = np.where(growing, rel, totals[entries] - rel)[eased] / tau[eased]
+        ratios = np.full(len(rel), 0.5)
+        ratios[eased] = evaluate_many(cfg.easing, fractions) * cfg.ratio_span + cfg.delta0
+        wrong = (ratios < least) | (ratios > most)
+        for n, t, ratio in zip(*(x[wrong].tolist() for x in (entries, times, ratios))):
+            off_curve[n] = min(off_curve.get(n, (math.inf, 0.0)), (float(t), ratio))
+        return growing, retracting, ratios
+
+    entries = np.array(list(at_zero), dtype=int)
+    _, _, ratios = drawn(entries, np.array(list(at_zero.values())), np.zeros(len(at_zero)))
+    for n, ratio in zip(entries.tolist(), ratios.tolist()):
+        if abs(ratio - cfg.delta0) > _EPS_RATIO:
+            key = schedule.edges[n].animation.edge.key
+            add("initial-frame", 0.0, (key,), f"ratio {ratio} at time 0")
+
+    a, b, px, py, *ratio = _crossing_table(layout, cfg.delta0)
+    ratio = np.concatenate(ratio)
     nearer = np.minimum(ratio, 1.0 - ratio)
     threshold = np.maximum(nearer - _EPS_RATIO, np.nextafter(cfg.delta0, 1.0))
-    order = np.lexsort((threshold, edge))
-    edge, threshold = edge[order], threshold[order]
-    bounds = np.searchsorted(edge, np.arange(len(layout.edges) + 2))
-    fresh = (np.diff(edge, prepend=-1) != 0) | (np.diff(threshold, prepend=np.nan) != 0)
-    first_equal = np.maximum.accumulate(np.where(fresh, np.arange(len(edge)), 0))
-    rank = np.empty(len(edge), dtype=int)
-    rank[order] = first_equal - bounds[edge] + 1
-    index = {e.key: k for k, e in enumerate(layout.edges)}
+    # One group per distinct (edge, threshold) pair, from crossings in either
+    # role; complex numbers sort by their real parts, then imaginary parts.
+    pairs, group = np.unique(np.concatenate([a, b]) + 1j * threshold, return_inverse=True)
+
+    # Crossings read an edge's last entry (-1: none): its starts, edge by edge
+    # in layout order, and the range of grid samples that each one owns.
+    keys = [e.key for e in layout.edges]
+    last = {se.animation.edge.key: n for n, se in enumerate(schedule.edges)}
+    listed = np.array([last.get(key, -1) for key in keys], dtype=int)
+    starts = [schedule.edges[n].starts if n >= 0 else () for n in listed.tolist()]
+    per_edge = np.array([len(s) for s in starts], dtype=int)
+    entry = np.repeat(listed, per_edge)
+    start = np.array([ts for s in starts for ts in s], dtype=float)
+    lo, hi = _owned(entry, start, totals[entry], count)
+
+    # A probe is one start of one group. One bisection over its owned range
+    # finds both ends of its covered range: the first copy of each probe
+    # seeks the first sample not growing below the threshold, the second
+    # the first retracting sample below it.
+    group_edge = pairs.real.astype(int)
+    per_group = per_edge[group_edge]
+    probe = _ranges((per_edge.cumsum() - per_edge)[group_edge], per_group)
+    probe_group = np.repeat(np.arange(len(pairs)), per_group)
+    row, theta = np.tile(probe, 2), np.tile(pairs.imag[probe_group], 2)
+    low, high = lo[row], hi[row]
+    live = np.flatnonzero(low < high)
+    while live.size:
+        mid = (low[live] + high[live]) // 2
+        growing, retracting, ratios = drawn(entry[row[live]], start[row[live]], mid)
+        reached = ratios >= theta[live]
+        up = np.where(live < probe.size, ~growing | reached, retracting & ~reached)
+        high[live[up]] = mid[up]
+        low[live[~up]] = mid[~up] + 1
+        live = live[low[live] < high[live]]
+    for n, (time_ms, ratio) in sorted(off_curve.items()):
+        add("ratio-range", time_ms, (schedule.edges[n].animation.edge.key,), f"ratio {ratio}")
 
     lag = math.floor(cfg.tau_distinct - _EPS_MS)
     # A window wider than the grid already covers all of it.
     margin = min(max(lag, 0), count)
-    # layout index -> (grid index of the first sample, levels of the widened span)
-    series: dict[int, tuple[int, np.ndarray]] = {}
-    # Entries whose eased samples wait for one easing solve across entries.
-    held: list[tuple] = []
+    # Coverages that only touch share one sample, which is allowed at lag < 0.
+    shared = 1 if lag >= 0 else 2
+    # Each group's covered ranges, disjoint as the owned ranges are, sorted
+    # and merged where they touch. A last range, of no group, ends every
+    # search below.
+    covered = low[: probe.size] < low[probe.size :]
+    g = np.append(probe_group[covered], len(pairs))
+    r_lo = np.append(low[: probe.size][covered], 0)
+    r_hi = np.append(low[probe.size :][covered], shared)
+    order = np.lexsort((r_lo, g))
+    g, r_lo, r_hi = g[order], r_lo[order], r_hi[order]
+    fresh = np.append(True, (g[1:] != g[:-1]) | (r_lo[1:] != r_hi[:-1]))
+    heads, tails = np.flatnonzero(fresh), np.flatnonzero(np.append(fresh[1:], True))
+    g, r_lo, r_hi = g[heads], r_lo[heads], r_hi[tails]
+    wide = r_hi - r_lo >= shared
+    g, r_lo, r_hi = g[wide], r_lo[wide], r_hi[wide]
 
-    def check_held() -> None:
-        """Ease every held fraction in one call, then check the entries in order."""
-        batch = np.concatenate([h[-1] for h in held])
-        ratios = evaluate_many(cfg.easing, batch)  # delta0 + ratio_span * eased
-        ratios *= cfg.ratio_span
-        ratios += cfg.delta0
-        least, most = cfg.delta0 - _EPS_RATIO, 0.5 + _EPS_RATIO
-        leaves = ratios.size and not (ratios.min() >= least and ratios.max() <= most)
-        a = 0
-        for key, lo, at_zero, levels, thresholds, cells, fractions in held:
-            eased = ratios[a : a + len(fractions)]
-            a += len(fractions)
-            levels[cells] = thresholds.searchsorted(eased, side="right")
-            if at_zero:
-                # Cell 0 animates: it eases if it is the first eased cell.
-                ratio = eased[0] if len(cells) and cells[0] == 0 else 0.5
-                if abs(ratio - cfg.delta0) > _EPS_RATIO:
-                    add("initial-frame", 0.0, (key,), f"ratio {ratio} at time 0")
-            if leaves and np.any(wrong := (eased < least) | (eased > most)):
-                i = int(np.argmax(wrong))
-                add("ratio-range", float(times[lo + cells[i]]), (key,), f"ratio {eased[i]}")
-        held.clear()
-
-    waiting = 0
-    for se in schedule.edges:
-        key = se.animation.edge.key
-        lo = hi = 0
-        if se.starts:
-            lo = int(np.searchsorted(times, min(se.starts), side="right"))
-            last_end = max(se.starts) + se.animation.total
-            hi = int(np.searchsorted(times, last_end, side="left"))
-            lo, hi = max(0, lo - margin), min(count, hi + margin)
-        cells, eased, fractions = animated_cells(
-            times[lo:hi], se.starts, se.animation.tau, se.animation.total, cfg.tau_half
+    # For each crossing and each range of its first edge, the first range of
+    # its second edge whose widened end reaches far enough into it (the keys
+    # sort ranges by group, then end). Later ranges start later, and so do
+    # later ranges of the first edge: the first match is the first clash.
+    bounds = np.searchsorted(g, np.arange(len(pairs) + 1))
+    group_a, group_b = group[: len(a)], group[len(a) :]
+    per_row = np.diff(bounds)[group_a]
+    crossing = np.repeat(np.arange(len(a)), per_row)
+    ia = _ranges(bounds[group_a], per_row)
+    width = count + margin + shared + 1
+    ib = np.searchsorted(g * width + r_hi + margin, group_b[crossing] * width + r_lo[ia] + shared)
+    clash = (g[ib] == group_b[crossing]) & (r_lo[ib] - margin + shared <= r_hi[ia])
+    at = np.maximum(r_lo[ia], r_lo[ib] - margin)[clash]
+    clashing, first = np.unique(crossing[clash], return_index=True)
+    columns = (a[clashing], b[clashing], px[clashing], py[clashing], at[first])
+    for p, q, x, y, i in zip(*(c.tolist() for c in columns)):
+        add(
+            "crossing-separation",
+            float(i),
+            (keys[p], keys[q]),
+            f"both within {cfg.tau_distinct} ms of crossing ({x:.3f}, {y:.3f})",
         )
-        k = index.get(key, len(layout.edges))
-        thresholds = threshold[bounds[k] : bounds[k + 1]]
-        levels = np.zeros(hi - lo, dtype=np.min_scalar_type(len(thresholds)))
-        levels[cells] = len(thresholds)  # the hold at 1/2 reaches every threshold
-        series[k] = (lo, levels)
-        at_zero = lo == 0 and len(cells) and cells[0] == 0
-        held.append((key, lo, at_zero, levels, thresholds, cells[eased], fractions))
-        waiting += len(fractions)
-        if waiting >= EASING_BLOCK:
-            check_held()
-            waiting = 0
-    if held:
-        check_held()
-
-    dilated: dict[int, tuple[int, np.ndarray]] = {}
-
-    def dilate(k: int) -> tuple[int, np.ndarray]:
-        """Maximum of the levels over +-margin samples, on the widened span.
-
-        The span holds every sample within margin of an animated one and the
-        series rests at level 0 beyond it, so the window maximum of the span
-        equals the dilation of the whole grid there.
-        """
-        if k not in dilated:
-            first, levels = series[k]
-            dilated[k] = (first, _window_max(levels, margin))
-        return dilated[k]
-
-    keys = [e.key for e in layout.edges]
-    # Free each partner's dilated span after the last row that reads it.
-    last_row = {q: row for row, q in enumerate(b.tolist())}
-    columns = (c.tolist() for c in (a, b, px, py, rank[: len(a)], rank[len(a) :]))
-    for row, (p, q, x, y, rank_a, rank_b) in enumerate(zip(*columns)):
-        if p not in series or q not in series:
-            continue
-        (first_a, levels_a), (first_b, dilated_b) = series[p], dilate(q)
-        if row == last_row[q]:
-            del dilated[q]
-        # Both edges rest at level 0, below every rank, outside their spans.
-        lo = max(first_a, first_b)
-        hi = min(first_a + len(levels_a), first_b + len(dilated_b))
-        if lo >= hi:
-            continue
-        cover_a = levels_a[lo - first_a : hi - first_a] >= rank_a
-        near_b = dilated_b[lo - first_b : hi - first_b] >= rank_b
-        clash = cover_a & near_b
-        if lag < 0:
-            # Coverages that only touch share one instant, allowed at 0.
-            clash = clash[:-1] & clash[1:]
-        if clash.any():
-            i = lo + int(np.argmax(clash))
-            add(
-                "crossing-separation",
-                float(times[i]),
-                (keys[p], keys[q]),
-                f"both within {cfg.tau_distinct} ms of crossing ({x:.3f}, {y:.3f})",
-            )
 
     return ScheduleReport(
         passed=not violations,

@@ -1,8 +1,10 @@
 import itertools
+import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgemorph import (
@@ -44,6 +46,8 @@ EASE_IN_OUT = EasingSpec(CUBIC_KIND, 0.42, 0.0, 0.58, 1.0)
 SMOOTHSTEP = EasingSpec(CUBIC_KIND, 0.0, 0.0, 1.0, 1.0)
 #: x slope 3e-7 at p = 0: never below 1e-12, yet inside the margin, so guarded.
 NEAR_FLAT = EasingSpec(CUBIC_KIND, 1e-7, 0.0, 0.5, 1.0)
+#: Morph times from 1 ms to 5 s, whole and fractional.
+GRID_TAUS = sorted({*np.geomspace(1.0, 5000.0, 40).round(3).tolist(), 1.5, 2.001, 437.3})
 
 
 def de_casteljau(p, points):
@@ -106,10 +110,28 @@ class TestEvaluate:
     def test_scalar_matches_vectorized(self, t):
         assert evaluate(EASE, t) == evaluate_many(EASE, np.array([t]))[0]
 
-    def test_nondecreasing_on_grid(self):
-        grid = np.linspace(0.0, 1.0, 2001)
-        values = evaluate_many(EASE, grid)
-        assert np.all(np.diff(values) >= 0.0)
+    @settings(max_examples=30, deadline=None)
+    @given(st.builds(partial(EasingSpec, CUBIC_KIND), *[st.floats(0.0, 1.0)] * 4))
+    @example(LINEAR)
+    @example(EASE)
+    @example(EASE_IN)
+    @example(EASE_OUT)
+    @example(EASE_IN_OUT)
+    @example(parse_easing("cubic-bezier:1,0,0,1"))
+    @example(SMOOTHSTEP)
+    @example(NEAR_FLAT)
+    def test_nondecreasing_on_grid(self, spec):
+        # The validator bisects over the 1 ms grid samples k + 1 - s after a
+        # start s past a grid point: the drawn ratios there must never
+        # decrease, for any morph time tau.
+        assert np.all(np.diff(evaluate_many(spec, np.linspace(0.0, 1.0, 2001))) >= 0.0)
+        offsets = np.array([[0.0], [1e-7], [0.25], [0.5], [0.999999]])
+        for tau in GRID_TAUS:
+            for fractions in (np.arange(math.ceil(tau)) + 1 - offsets) / tau:
+                eased = evaluate_many(spec, fractions[fractions <= 1.0])
+                for delta0 in (0.1, 0.25, 0.4):
+                    ratios = delta0 + (0.5 - delta0) * eased
+                    assert np.all(np.diff(ratios) >= 0.0), (tau, delta0)
 
 
 class TestInvert:

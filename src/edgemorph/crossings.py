@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, RangeError
-from .graph import (
-    EdgeSpec,
-    GraphLayout,
-    Point,
-    _collinear_overlap,
-    _edge_segments,
-    _touching_pairs,
-)
+from .graph import EdgeSpec, GraphLayout, Point, _collinear_overlap
 
 # Crossings closer than this, in parameter distance, to a segment endpoint are
 # treated as non-crossing; inputs are expected in general position.
@@ -102,12 +95,11 @@ def _crossing_table(layout: GraphLayout, delta0: float) -> tuple[np.ndarray, ...
     if not 0.0 < delta0 < 0.5:
         raise RangeError(f"delta0 {delta0} outside (0, 1/2)")
     edges = layout.edges
-    segments, pts, lengths = _edge_segments(layout)
+    segments, pts, lengths, i, j = layout.pair_pass
     node_index = {node.id: k for k, node in enumerate(layout.nodes)}
     ends = np.array(
         [(node_index[e.source], node_index[e.target]) for e in edges], dtype=np.intp
     ).reshape(-1, 2)
-    i, j = _touching_pairs(pts)
     (si, ti), (sj, tj) = ends[i].T, ends[j].T
     apart = (si != sj) & (si != tj) & (ti != sj) & (ti != tj)
     i, j = i[apart], j[apart]

@@ -11,9 +11,10 @@ All values are immutable after construction and safe to share across threads.
 Construction checks the cheap structural invariants; :func:`parse_layout` and
 :func:`validate_layout` additionally reject pairs of collinear edges that
 overlap in more than one point, whose crossing would be a whole segment.
-That check and the crossing scan share one segment-pair pass: a numpy sweep
-over bounding boxes yields the edge pairs whose boxes touch, as two index
-arrays, and only those reach the per-pair geometry. Validation runs the
+That check and the crossing scan share one segment-pair pass, made once per
+layout and kept on it (:attr:`GraphLayout.pair_pass`): a numpy sweep over
+bounding boxes yields the edge pairs whose boxes touch, as two index arrays,
+and only those reach the per-pair geometry. Validation runs the
 parallel gate of the collinearity test over all of them as arrays; the few
 near-parallel pairs it leaves open go through the scalar test, which stays
 the bit-level reference, in ascending pair order.
@@ -126,6 +127,24 @@ class GraphLayout:
             grow[edge.source].add(edge.target)
             grow[edge.target].add(edge.source)
         return {nid: frozenset(neigh) for nid, neigh in grow.items()}
+
+    @cached_property
+    def pair_pass(self) -> tuple:
+        """(segments, pts, lengths, i, j), all read-only.
+
+        Every edge's endpoints as tuples and as an (m, 2, 2) array, its
+        length, and the :func:`_touching_pairs` of the edges. Lengths come
+        from ``math.hypot``, as in the scalar segment tests, so an array gate
+        compares the very numbers the scalar test would.
+        """
+        segments = tuple(self.endpoints(edge) for edge in self.edges)
+        pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
+        lengths = np.array([math.hypot(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in segments])
+        # The layout keeps the pairs for its lifetime: 32-bit indices halve that.
+        arrays = (pts, lengths, *(k.astype(np.int32) for k in _touching_pairs(pts)))
+        for array in arrays:
+            array.setflags(write=False)
+        return (segments, *arrays)
 
     def node(self, node_id: str) -> NodeSpec:
         try:
@@ -271,25 +290,10 @@ def _touching_pairs(segments) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.sort(np.minimum(a, b) * len(pts) + np.maximum(a, b)), len(pts))
 
 
-def _edge_segments(
-    layout: GraphLayout,
-) -> tuple[list[tuple[Point, Point]], np.ndarray, np.ndarray]:
-    """Every edge's endpoints as tuples and as an (m, 2, 2) array, and its length.
-
-    Lengths come from ``math.hypot``, as in the scalar segment tests, so an
-    array gate compares the very numbers the scalar test would.
-    """
-    segments = [layout.endpoints(edge) for edge in layout.edges]
-    pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
-    lengths = np.array([math.hypot(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in segments])
-    return segments, pts, lengths
-
-
 def validate_layout(layout: GraphLayout) -> None:
     """Re-check all layout invariants, including the geometric ones."""
     GraphLayout(layout.nodes, layout.edges)  # structural invariants
-    segments, pts, lengths = _edge_segments(layout)
-    i, j = _touching_pairs(pts)
+    segments, pts, lengths, i, j = layout.pair_pass
     # The parallel gate of _collinear_overlap over all pairs at once, in its
     # operation order; float overflow yields inf or NaN there as it does here.
     with np.errstate(all="ignore"):

@@ -23,9 +23,11 @@ time zero, so the frame at time zero shows the resting drawing.
 :func:`validate_schedule` is an independent check of ratio bounds,
 crossing-point separation, per-edge start separation, the horizon and the
 resting initial frame on a 1 ms time grid. It reuses none of the interval
-arithmetic that placed the starts: by bisection on the forward easing, with
+arithmetic that placed the starts: by searches on the forward easing, with
 the ratios rendering draws, it finds the grid samples where each start
 covers each crossing point, as ranges, and compares crossing partners'.
+Each search starts where a table of the forward easing puts its answer, and
+bisects where that hint missed: the hint never decides a verdict.
 
 All starts are quantized to microseconds when placed (rounding up, which can
 only relax separations), so serialized schedules with times at 3 decimal
@@ -62,6 +64,9 @@ _EPS_RATIO = 1e-12  # forgiveness for float noise in ratio comparisons
 MAX_SAMPLES = 1_000_000
 #: Most starts one schedule may hold: about a second of repeat passes.
 MAX_STARTS = 100_000
+# Evenly spaced fractions at which the validator tabulates the forward easing
+# once, to start each search near its answer.
+_KNOTS = 1025
 
 
 @dataclass(frozen=True)
@@ -330,30 +335,36 @@ def validate_schedule(
     Checks (c), (d) and (f) run on every entry of a duplicated edge, and (b)
     on its last entry. Edges absent from the schedule are treated as never
     animating. A non-finite start raises RangeError naming its edge, and a
-    grid of more than :data:`MAX_SAMPLES` samples RangeError, before
-    anything is eased. The first 100 violations are listed, and all are
-    counted by kind.
+    non-finite makespan or a grid of more than :data:`MAX_SAMPLES` samples
+    RangeError, before anything is eased. The first 100 violations are
+    listed, and all are counted by kind.
 
     A crossing only asks when a ratio reaches a threshold: its nearer ratio
     less float noise, but at least the next float above delta0, so a resting
     stub covers no avoidable crossing, as in the schedule. Within one start
     the ratio rises, holds at 1/2 and falls, so the samples where it reaches
-    a threshold form one range. One vectorised bisection over every start of
+    a threshold form one range. One vectorised search over every start of
     every distinct (edge, threshold) pair finds both ends of those ranges,
-    within the samples that each start owns. Each probe computes the ratio
-    as :func:`~edgemorph.kinematics.animated_cells` does, through the
-    forward easing only, so no arithmetic is shared with placement; the
-    bisection rests on eased ratios never decreasing along the grid, which
-    ``tests/test_easing.py`` pins. A crossing clashes where a range of its
-    first edge meets one of its second widened by the samples within
-    tau_distinct, and the first such sample is reported. The sample at time
-    0 is probed for entries with a start below 0; (a) sees probes only.
+    within the samples that each start owns. It starts at a hint: the
+    forward easing, tabulated once at 1 025 even fractions and interpolated,
+    gives the sample where each end should lie, and the first two probes go
+    there and just before it; bisection goes on where they miss. Each probe
+    computes the ratio as :func:`~edgemorph.kinematics.animated_cells` does,
+    through the forward easing only, so no arithmetic is shared with
+    placement, and verdicts come from probes only; the search rests on eased
+    ratios never decreasing along the grid, which ``tests/test_easing.py``
+    pins. A crossing clashes where a range of its first edge meets one of its
+    second widened by the samples within tau_distinct, and the first such
+    sample is reported. The sample at time 0 is probed for entries with a
+    start below 0; (a) sees probes only.
     """
     cfg = own_config(cfg, schedule)
     for se in schedule.edges:
         if not all(map(math.isfinite, se.starts)):
             source, target = se.animation.edge.key
             raise RangeError(f"non-finite start in schedule edge {source}-{target}")
+    if not math.isfinite(schedule.makespan):
+        raise RangeError(f"non-finite schedule makespan {schedule.makespan}")
     end = max(schedule.makespan, _end(schedule.edges))
     span = end if end > 0 else 0.0
     if not span < MAX_SAMPLES:
@@ -447,19 +458,39 @@ def validate_schedule(
     start = np.array([ts for s in starts for ts in s], dtype=float)
     lo, hi = _owned(entry, start, totals[entry], count)
 
-    # A probe is one start of one group. One bisection over its owned range
-    # finds both ends of its covered range: the first copy of each probe
-    # seeks the first sample not growing below the threshold, the second
-    # the first retracting sample below it.
+    # A probe is one start of one group. A search over its owned range finds
+    # each end of its covered range: the first copy of each probe seeks the
+    # first sample not growing below the threshold, the second the first
+    # retracting sample below it. The answer stays in [low, high].
     group_edge = pairs.real.astype(int)
     per_group = per_edge[group_edge]
     probe = _ranges((per_edge.cumsum() - per_edge)[group_edge], per_group)
     probe_group = np.repeat(np.arange(len(pairs)), per_group)
     row, theta = np.tile(probe, 2), np.tile(pairs.imag[probe_group], 2)
     low, high = lo[row], hi[row]
-    live = np.flatnonzero(low < high)
+    # The hint: the fraction x where the ratio passes each threshold, read off
+    # a table of the forward easing, and the first sample where a copy's growth
+    # or retraction has passed it (the midpoint where x is not finite).
+    knots = evaluate_many(cfg.easing, np.linspace(0.0, 1.0, _KNOTS)) * cfg.ratio_span + cfg.delta0
+    k = np.clip(np.searchsorted(knots, pairs.imag), 1, _KNOTS - 1)
+    with np.errstate(all="ignore"):
+        x = (k - 1 + (pairs.imag - knots[k - 1]) / (knots[k] - knots[k - 1])) / (_KNOTS - 1)
+        reach = taus[entry[probe]] * x[probe_group]
+        hint = np.concatenate(
+            [np.ceil(start[probe] + reach), np.floor(start[probe] + totals[entry[probe]] - reach) + 1]
+        )
+    hint = np.where(np.isfinite(hint), hint, (low + high) // 2)
+    hint = np.clip(hint, low, high - 1).astype(int)
+    # The first two probes go at hint - 1 and hint, within the bracket: they
+    # settle every search whose answer is one of them, and bisection goes on
+    # where the hint missed.
+    live, rounds = np.flatnonzero(low < high), 0
     while live.size:
-        mid = (low[live] + high[live]) // 2
+        if rounds < 2:
+            mid = np.clip(hint[live] + (rounds - 1), low[live], high[live] - 1)
+        else:
+            mid = (low[live] + high[live]) // 2
+        rounds += 1
         growing, retracting, ratios = drawn(entry[row[live]], start[row[live]], mid)
         reached = ratios >= theta[live]
         up = np.where(live < probe.size, ~growing | reached, retracting & ~reached)

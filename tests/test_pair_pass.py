@@ -27,11 +27,15 @@ from edgemorph import (
     EdgeSpec,
     GraphLayout,
     NodeSpec,
+    PRESETS,
     ValidationError,
+    compute_schedule,
     find_avoidable_crossings,
     parse_layout,
     validate_layout,
+    validate_schedule,
 )
+import edgemorph.graph as graph
 from edgemorph.crossings import PARAM_EPS, segment_intersection
 from edgemorph.graph import _BOX_MARGIN, _collinear_overlap, _touching_pairs
 from conftest import DATA_DIR
@@ -406,6 +410,25 @@ class TestTouchingPairs:
         pairs = _touching_pairs([((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 3.0))])
         assert as_list(pairs) == [(0, 1)]
         assert all(index.dtype.kind == "i" for index in pairs)
+
+    def test_one_pass_per_layout(self, monkeypatch):
+        # Parsing, scheduling and checking a layout share one pass, which
+        # none of them can change.
+        calls = []
+
+        def counted(segments):
+            calls.append(len(segments))
+            return _touching_pairs(segments)
+
+        monkeypatch.setattr(graph, "_touching_pairs", counted)
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        cfg = PRESETS["fasteas"]
+        assert validate_schedule(layout, cfg, compute_schedule(layout, cfg)).passed
+        assert calls == [len(layout.edges)]
+        _, pts, lengths, i, j = layout.pair_pass
+        for array in (pts, lengths, i, j):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 coordinate = st.floats(min_value=-1e4, max_value=1e4)

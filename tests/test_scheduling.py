@@ -446,6 +446,18 @@ class TestValidateSchedule:
         with pytest.raises(RangeError, match=f"^non-finite start in schedule edge {source}-{target}$"):
             validate_schedule(layout, schedule.config, replace(schedule, edges=edges))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_makespan_is_range_error(self, bad):
+        # With every start at 0 the schedule clashes, but a NaN makespan
+        # once shrank the grid to one sample and let it pass.
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        schedule = compute_schedule(layout, PRESETS["sloweas"])
+        edges = tuple(ScheduledEdge(se.animation, (0.0,)) for se in schedule.edges)
+        at_zero = replace(schedule, edges=edges)
+        assert not validate_schedule(layout, schedule.config, at_zero).passed
+        with pytest.raises(RangeError, match="^non-finite schedule makespan"):
+            validate_schedule(layout, schedule.config, replace(at_zero, makespan=bad))
+
     def test_empty_schedule_passes(self, cross_layout):
         empty = Schedule(config=SLOWLIN, edges=(), makespan=0.0)
         assert validate_schedule(cross_layout, SLOWLIN, empty).passed
@@ -796,10 +808,17 @@ class TestDenseOracle:
     def test_drawn_schedules(self, data):
         # Computed schedules with edges shifted by fractions of a millisecond,
         # or given drawn starts (overlapping, unsorted, equal or negative),
-        # dropped or listed twice, plus an edge outside the layout.
+        # dropped or listed twice, plus an edge outside the layout. The
+        # curves include ones with flat and near-flat stretches, where the
+        # validator's first probes miss.
         layout = PARITY_LAYOUT
         tau_distinct = data.draw(st.sampled_from([0.0, 5e-7, 0.5, 1.0, 17.0, 50.0, 100.0]))
-        cfg = replace(PRESETS[data.draw(st.sampled_from(sorted(PRESETS)))], tau_distinct=tau_distinct)
+        cfg = replace(
+            PRESETS[data.draw(st.sampled_from(sorted(PRESETS)))],
+            tau_distinct=tau_distinct,
+            easing=data.draw(st.sampled_from(DRAWN_CURVES)),
+            tau_half=data.draw(st.sampled_from([0.0, 100.0])),
+        )
         if data.draw(st.booleans()):
             cfg = replace(cfg, horizon=1.5 * compute_schedule(layout, cfg).makespan)
         base = compute_schedule(layout, cfg)
@@ -829,9 +848,39 @@ class TestDenseOracle:
         report = validate_schedule(layout, cfg, schedule)
         assert report == dense_validate_schedule(layout, cfg, schedule)
 
+    def test_starts_far_before_and_after_the_others(self):
+        # A start at -1e300 owns no sample, and its hint lies far before the
+        # grid; a start 30 s after every other one stretches the grid.
+        layout = PARITY_LAYOUT
+        for easing in (EASE, CORNER):
+            cfg = replace(SLOWLIN, easing=easing)
+            base = compute_schedule(layout, cfg)
+            first, second, *rest = base.edges
+            late = base.makespan + 30_000.0
+            edges = (
+                ScheduledEdge(first.animation, (-1e300, *first.starts)),
+                ScheduledEdge(second.animation, (*second.starts, late)),
+                *rest,
+            )
+            schedule = replace(base, edges=edges, makespan=late + second.animation.total)
+            report = validate_schedule(layout, cfg, schedule)
+            assert report == dense_validate_schedule(layout, cfg, schedule)
+            assert report.violation_counts == (("start-separation", 1),)
+
 
 PARITY_LAYOUT = synth_layout(5, n_nodes=8, density=3.0, spacing=100, bias=1.5)
 EASE_IN_OUT = EasingSpec(CUBIC_KIND, 0.42, 0.0, 0.58, 1.0)
+#: Flat at the middle: the slope of y is 3 (1 - 2p)^2.
+CORNER = EasingSpec(CUBIC_KIND, 0.0, 1.0, 1.0, 0.0)
+DRAWN_CURVES = (
+    LINEAR,
+    EASE,
+    EasingSpec(CUBIC_KIND, 0.42, 0.0, 1.0, 1.0),  # ease-in
+    EASE_IN_OUT,
+    EasingSpec(CUBIC_KIND, 1 / 3, 0.0, 2 / 3, 1.0),  # smoothstep
+    EasingSpec(CUBIC_KIND, 0.0, 0.9, 1.0, 0.1),  # near-flat middle
+    CORNER,
+)
 
 
 class TestSampleRatioSeries:
@@ -910,6 +959,39 @@ def test_duplicate_entry_does_not_hide_a_clash():
     assert counts["duplicate-edge"] == 1
     assert report.violations[0].detail == "scheduled 3 times"
     assert counts["start-separation"] == 1 and counts["initial-frame"] == 1
+
+
+def probe_copies(layout, schedule):
+    """Two searches per start of every distinct (edge, threshold) pair."""
+    cfg = schedule.config
+    groups = set()
+    for crossing in find_avoidable_crossings(layout, cfg.delta0):
+        sides = ((crossing.edge_a, crossing.ratio_a), (crossing.edge_b, crossing.ratio_b))
+        for edge, ratio in sides:
+            nearer = min(ratio, 1.0 - ratio)
+            groups.add((edge.key, max(nearer - 1e-12, np.nextafter(cfg.delta0, 1.0))))
+    starts = {se.animation.edge.key: len(se.starts) for se in schedule.edges}
+    return 2 * sum(starts[key] for key, _ in groups)
+
+
+@pytest.mark.parametrize(
+    "cfg", [PRESETS["sloweas"], replace(FASTLIN, horizon=60_000.0)], ids=["sloweas", "fastlin-60s"]
+)
+def test_searches_start_at_their_answers(monkeypatch, cfg):
+    # Bisection eases about 12 samples per search. Starting at the knot
+    # table's hint, nearly every search ends after its first two probes; a
+    # hint that missed would still give the right verdicts.
+    layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+    schedule = compute_schedule(layout, cfg)
+    eased = []
+
+    def counted(spec, fracs):
+        eased.append(len(fracs))
+        return evaluate_many(spec, fracs)
+
+    monkeypatch.setattr(scheduling, "evaluate_many", counted)
+    assert validate_schedule(layout, cfg, schedule).passed
+    assert sum(eased) <= scheduling._KNOTS + 2.5 * probe_copies(layout, schedule)
 
 
 @pytest.fixture(scope="module")

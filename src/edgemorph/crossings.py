@@ -9,13 +9,14 @@ permanently and are excluded.
 Edges sharing an endpoint never produce crossings; in general position their
 only intersection is the shared node, where stubs legitimately meet.
 
-:func:`segment_intersection` is the scalar reference for one pair. The scan
-runs the same arithmetic, in the same operation order, over every touching
-pair at once as numpy arrays, so its points and ratios equal the scalar
-ones bit for bit; only pairs under the parallel bound go through the scalar
-collinearity test that layout validation uses. Scheduling and the validator
-read the scan's columns, with edges as indices into ``layout.edges``;
-:func:`find_avoidable_crossings` is their public view as objects.
+:func:`segment_intersection` is the scalar reference for one pair. The
+layout's segment-pair pass (:attr:`GraphLayout.pair_pass`) finds every proper
+crossing once, with the same arithmetic in the same operation order over
+blocks of touching pairs, so its points and ratios equal the scalar ones bit
+for bit. The scan keeps those beyond the resting ratio; only pairs under the
+parallel bound go through the scalar collinearity test. Scheduling and the
+validator read the scan's columns, with edges as indices into
+``layout.edges``; :func:`find_avoidable_crossings` is their public view.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, RangeError
-from .graph import EdgeSpec, GraphLayout, Point, _collinear_overlap
-
-# Crossings closer than this, in parameter distance, to a segment endpoint are
-# treated as non-crossing; inputs are expected in general position.
-PARAM_EPS = 1e-12
+from .graph import PARAM_EPS, EdgeSpec, GraphLayout, Point, _collinear_overlap
 
 
 @dataclass(frozen=True)
@@ -84,53 +81,19 @@ def segment_intersection(
 def _crossing_table(layout: GraphLayout, delta0: float) -> tuple[np.ndarray, ...]:
     """The avoidable crossings as columns (a, b, px, py, ratio_a, ratio_b).
 
-    a and b index ``layout.edges``; rows are ordered by edge id pairs.
-    Scans the edge pairs whose bounding boxes touch (the segment-pair pass
-    that layout validation uses too; adjacent pairs skipped) and keeps proper
-    crossings whose nearer-endpoint distance exceeds delta0 on both edges.
-    The pairs are tested as arrays in :func:`segment_intersection`'s
-    operation order, so every point and ratio is the one it returns; only
-    near-parallel pairs go through the scalar collinearity test.
+    a and b index ``layout.edges``; rows are ordered by edge id pairs. They are
+    the proper crossings of the layout's segment-pair pass whose distance from
+    the nearer endpoint exceeds delta0 on both edges.
     """
     if not 0.0 < delta0 < 0.5:
         raise RangeError(f"delta0 {delta0} outside (0, 1/2)")
-    edges = layout.edges
-    segments, pts, lengths, i, j = layout.pair_pass
-    node_index = {node.id: k for k, node in enumerate(layout.nodes)}
-    ends = np.array(
-        [(node_index[e.source], node_index[e.target]) for e in edges], dtype=np.intp
-    ).reshape(-1, 2)
-    (si, ti), (sj, tj) = ends[i].T, ends[j].T
-    apart = (si != sj) & (si != tj) & (ti != sj) & (ti != tj)
-    i, j = i[apart], j[apart]
-
-    with np.errstate(all="ignore"):  # float overflow gives inf or NaN, as in Python
-        rx, ry = (pts[:, 1] - pts[:, 0]).T
-        sx, sy = rx[j], ry[j]
-        rx, ry = rx[i], ry[i]
-        denom = rx * sy - ry * sx
-        parallel = np.abs(denom) <= 1e-14 * lengths[i] * lengths[j]
-        for p, q in zip(i[parallel].tolist(), j[parallel].tolist()):
-            if _collinear_overlap(*segments[p], *segments[q]):
-                raise DegeneracyError("collinear segments overlap")
-        qx, qy = (pts[j, 0] - pts[i, 0]).T
-        t = (qx * sy - qy * sx) / denom
-        u = (qx * ry - qy * rx) / denom
-        hit = ~parallel & (PARAM_EPS <= t) & (t <= 1.0 - PARAM_EPS)
-        hit &= (PARAM_EPS <= u) & (u <= 1.0 - PARAM_EPS)
-        hit &= (np.minimum(t, 1.0 - t) > delta0) & (np.minimum(u, 1.0 - u) > delta0)
-        i, j, t, u = i[hit], j[hit], t[hit], u[hit]
-        px = pts[i, 0, 0] + t * rx[hit]
-        py = pts[i, 0, 1] + t * ry[hit]
-
-    # Edge a of a crossing is the one with the smaller key.
-    rank = np.empty(len(edges), dtype=np.intp)
-    rank[sorted(range(len(edges)), key=lambda k: edges[k].key)] = np.arange(len(edges))
-    swap = rank[i] > rank[j]
-    a, b = np.where(swap, j, i), np.where(swap, i, j)
-    ratio_a, ratio_b = np.where(swap, u, t), np.where(swap, t, u)
-    order = np.lexsort((rank[b], rank[a]))
-    return tuple(column[order] for column in (a, b, px, py, ratio_a, ratio_b))
+    segments, _, parallel, columns = layout.pair_pass
+    for p, q in parallel.T.tolist():
+        if _collinear_overlap(*segments[p], *segments[q]):
+            raise DegeneracyError("collinear segments overlap")
+    ratios = np.array(columns[4:])
+    keep = (np.minimum(ratios, 1.0 - ratios) > delta0).all(axis=0)
+    return tuple(column[keep] for column in columns)
 
 
 def find_avoidable_crossings(

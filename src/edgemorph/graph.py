@@ -13,11 +13,10 @@ Construction checks the cheap structural invariants; :func:`parse_layout` and
 overlap in more than one point, whose crossing would be a whole segment.
 That check and the crossing scan share one segment-pair pass, made once per
 layout and kept on it (:attr:`GraphLayout.pair_pass`): a numpy sweep over
-bounding boxes yields the edge pairs whose boxes touch, as two index arrays,
-and only those reach the per-pair geometry. Validation runs the
-parallel gate of the collinearity test over all of them as arrays; the few
-near-parallel pairs it leaves open go through the scalar test, which stays
-the bit-level reference, in ascending pair order.
+bounding boxes and the per-pair geometry of the pairs whose boxes touch run
+together, block by block. It keeps the few near-parallel pairs for the
+scalar collinearity test, which stays the bit-level reference, and the
+layout's proper crossings, which the scan filters by resting ratio.
 """
 
 from __future__ import annotations
@@ -130,21 +129,8 @@ class GraphLayout:
 
     @cached_property
     def pair_pass(self) -> tuple:
-        """(segments, pts, lengths, i, j), all read-only.
-
-        Every edge's endpoints as tuples and as an (m, 2, 2) array, its
-        length, and the :func:`_touching_pairs` of the edges. Lengths come
-        from ``math.hypot``, as in the scalar segment tests, so an array gate
-        compares the very numbers the scalar test would.
-        """
-        segments = tuple(self.endpoints(edge) for edge in self.edges)
-        pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
-        lengths = np.array([math.hypot(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in segments])
-        # The layout keeps the pairs for its lifetime: 32-bit indices halve that.
-        arrays = (pts, lengths, *(k.astype(np.int32) for k in _touching_pairs(pts)))
-        for array in arrays:
-            array.setflags(write=False)
-        return (segments, *arrays)
+        """The layout's :func:`_pair_pass`, made on first use and kept."""
+        return _pair_pass(self)
 
     def node(self, node_id: str) -> NodeSpec:
         try:
@@ -267,47 +253,113 @@ def _collinear_overlap(
 _BOX_MARGIN = 1e-8
 
 
-def _touching_pairs(segments) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs i < j of segments whose widened closed boxes touch, as arrays (i, j).
+#: Boxes, in x-min order, per block of the segment-pair pass: a block's
+#: candidate pairs and their per-pair arrays live only while it is processed.
+PAIR_BLOCK = 128
 
-    The pairs come in ascending (i, j) order. A sweep in x-min order pairs
-    each box with the later ones that start by its x-max and keeps those
-    whose y-ranges meet too, so memory grows with the x-overlapping pairs,
-    not with all pairs.
+# Crossings closer than this, in parameter distance, to a segment endpoint are
+# treated as non-crossing; inputs are expected in general position.
+PARAM_EPS = 1e-12
+
+
+def _touching_pairs(segments):
+    """Pairs i < j of segments whose widened closed boxes touch, in blocks.
+
+    Yields index arrays (i, j), in sweep order, in at least one block. A
+    sweep in x-min order pairs each box with the later ones that start by
+    its x-max and keeps those whose y-ranges meet too, :data:`PAIR_BLOCK`
+    boxes at a time, so memory grows with one block's x-overlapping pairs.
     """
     pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
     with np.errstate(over="ignore"):  # an infinite margin keeps every pair
         margin = _BOX_MARGIN * np.hypot(*(pts[:, 1] - pts[:, 0]).T)[:, None]
         lo, hi = pts.min(axis=1) - margin, pts.max(axis=1) + margin
     order = np.argsort(lo[:, 0])
-    lo, hi = lo[order], hi[order]
-    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(len(lo)) - 1
-    first = np.repeat(np.arange(len(lo)), count)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    keep = (lo[second, 1] <= hi[first, 1]) & (lo[first, 1] <= hi[second, 1])
-    a, b = order[first[keep]], order[second[keep]]
-    # Each pair once as the key i * m + j: sorting the keys orders the pairs.
-    return np.divmod(np.sort(np.minimum(a, b) * len(pts) + np.maximum(a, b)), len(pts))
+    (lo_x, lo_y), (hi_x, hi_y) = lo[order].T.copy(), hi[order].T.copy()
+    count = np.searchsorted(lo_x, hi_x, side="right") - np.arange(len(lo_x)) - 1
+    for start in range(0, max(len(lo_x), 1), PAIR_BLOCK):
+        block = count[start : start + PAIR_BLOCK]
+        first = np.repeat(np.arange(start, start + len(block)), block)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(block) - block, block)
+        keep = np.flatnonzero((lo_y[second] <= hi_y[first]) & (lo_y[first] <= hi_y[second]))
+        a, b = order[first[keep]], order[second[keep]]
+        yield np.minimum(a, b), np.maximum(a, b)
 
 
-def validate_layout(layout: GraphLayout) -> None:
-    """Re-check all layout invariants, including the geometric ones."""
-    GraphLayout(layout.nodes, layout.edges)  # structural invariants
-    segments, pts, lengths, i, j = layout.pair_pass
-    # The parallel gate of _collinear_overlap over all pairs at once, in its
-    # operation order; float overflow yields inf or NaN there as it does here.
-    with np.errstate(all="ignore"):
-        rx, ry = (pts[:, 1] - pts[:, 0]).T
-        cross = rx[i] * ry[j] - ry[i] * rx[j]
-        len_i, len_j = lengths[i], lengths[j]
-        bound = np.where(len_i >= len_j, 1e-9 * len_i * len_j, 1e-9 * len_j * len_i)
-        unsettled = ~(np.abs(cross) > bound)
-    for p, q in zip(i[unsettled].tolist(), j[unsettled].tolist()):
+def _pair_pass(layout: GraphLayout) -> tuple:
+    """(segments, near, parallel, crossings): a layout's one segment-pair pass.
+
+    Every edge's endpoints as tuples; then read-only arrays, from one cross
+    product per :func:`_touching_pairs` pair: ``near``, the (2, k) pairs
+    (i, j) that the parallel gate of :func:`_collinear_overlap` leaves open,
+    ascending; of the pairs without a shared node, ``parallel``, likewise,
+    those under the scan's 1e-14 bound, and ``crossings``, the proper
+    crossings as columns (a, b, px, py, ratio_a, ratio_b), a the smaller key,
+    sorted by key pairs. Lengths come from ``math.hypot`` and the arithmetic
+    follows ``crossings.segment_intersection``, so all is bit for bit equal.
+    """
+    edges, m = layout.edges, len(layout.edges)
+    segments = tuple(layout.endpoints(edge) for edge in edges)
+    pts = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
+    lengths = np.array([math.hypot(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in segments])
+    keys = [edge.key for edge in edges]
+    node_index = {node.id: k for k, node in enumerate(layout.nodes)}
+    ends = np.array([(node_index[a], node_index[b]) for a, b in keys], dtype=np.intp)
+    source, target = ends.reshape(-1, 2).T.copy()
+
+    def apart(k, i, j):  # the pairs k whose edges share no node
+        a, b, c, d = source[i[k]], target[i[k]], source[j[k]], target[j[k]]
+        return k[(a != c) & (a != d) & (b != c) & (b != d)]
+
+    near, parallel, found = [], [], []
+    with np.errstate(all="ignore"):  # float overflow gives inf or NaN, as in Python
+        x0, y0, rx, ry = np.concatenate((pts[:, 0], pts[:, 1] - pts[:, 0]), axis=1).T.copy()
+        for i, j in _touching_pairs(pts):
+            ri, si = (rx[i], ry[i]), (rx[j], ry[j])
+            cross = ri[0] * si[1] - ri[1] * si[0]
+            len_i, len_j = lengths[i], lengths[j]
+            bound = 1e-9 * np.maximum(len_i, len_j) * np.minimum(len_i, len_j)  # longer first
+            k = np.flatnonzero(~(np.abs(cross) > bound))
+            near.append((i[k], j[k]))
+            flat = np.abs(cross) <= 1e-14 * len_i * len_j
+            k = apart(np.flatnonzero(flat), i, j)
+            parallel.append((i[k], j[k]))
+            qx, qy = x0[j] - x0[i], y0[j] - y0[i]
+            t = (qx * si[1] - qy * si[0]) / cross
+            u = (qx * ri[1] - qy * ri[0]) / cross
+            hit = ~flat & (PARAM_EPS <= t) & (t <= 1.0 - PARAM_EPS)
+            k = apart(np.flatnonzero(hit & (PARAM_EPS <= u) & (u <= 1.0 - PARAM_EPS)), i, j)
+            found.append((i[k], j[k], t[k], u[k]))
+        near, parallel = (np.concatenate(p, axis=1) for p in (near, parallel))
+        near, parallel = (p[:, np.argsort(p[0] * m + p[1])] for p in (near, parallel))
+        rank = np.empty(m, dtype=np.intp)
+        rank[sorted(range(m), key=keys.__getitem__)] = np.arange(m)
+        i, j, t, u = (np.concatenate(column) for column in zip(*found))
+        swap = rank[i] > rank[j]
+        order = np.argsort(np.where(swap, rank[j] * m + rank[i], rank[i] * m + rank[j]))
+        i, j, t, u, swap = (column[order] for column in (i, j, t, u, swap))
+        (a, b), ratios = np.where(swap, (j, i), (i, j)), np.where(swap, (u, t), (t, u))
+        crossings = (a, b, x0[i] + t * rx[i], y0[i] + t * ry[i], *ratios)
+    for array in (near, parallel, *crossings):
+        array.setflags(write=False)
+    return segments, near, parallel, crossings
+
+
+def _reject_collinear_overlaps(layout: GraphLayout) -> None:
+    """ValidationError naming the first pair of edges that overlap collinearly."""
+    segments, near, _, _ = layout.pair_pass
+    for p, q in near.T.tolist():
         if _collinear_overlap(*segments[p], *segments[q]):
             raise ValidationError(
                 f"edges {layout.edges[p].key} and {layout.edges[q].key} "
                 "are collinear and overlap"
             )
+
+
+def validate_layout(layout: GraphLayout) -> None:
+    """Re-check all layout invariants, including the geometric ones."""
+    GraphLayout(layout.nodes, layout.edges)  # structural invariants
+    _reject_collinear_overlaps(layout)
 
 
 def json_number(value) -> float:
@@ -384,8 +436,8 @@ def parse_layout(raw: bytes | str) -> GraphLayout:
             raise ParseError(f"edge #{i} endpoints must be node id strings")
         edges.append(EdgeSpec(source, target))
 
-    layout = GraphLayout(tuple(nodes), tuple(edges))
-    validate_layout(layout)
+    layout = GraphLayout(tuple(nodes), tuple(edges))  # structural invariants
+    _reject_collinear_overlaps(layout)
     return layout
 
 

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from edgemorph import (
+    AvoidableCrossing,
     DegeneracyError,
     EdgeSpec,
     GraphLayout,
@@ -11,8 +13,10 @@ from edgemorph import (
     RangeError,
     edge_length,
     find_avoidable_crossings,
+    parse_layout,
     segment_intersection,
 )
+from conftest import DATA_DIR
 from gen_layouts import synth_layout
 
 
@@ -48,6 +52,26 @@ def brute_force_crossings(layout, delta0):
                 out.append((e2.key, e1.key, point, u, t))
     out.sort(key=lambda item: (item[0], item[1]))
     return out
+
+
+def scalar_crossings(layout, delta0):
+    """Exact oracle: :func:`segment_intersection` on every non-adjacent pair."""
+    edges, found = layout.edges, []
+    for i, e1 in enumerate(edges):
+        for e2 in edges[i + 1 :]:
+            if set(e1.key) & set(e2.key):
+                continue
+            hit = segment_intersection(layout.endpoints(e1), layout.endpoints(e2))
+            if hit is None:
+                continue
+            point, t, u = hit
+            if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
+                continue
+            if e1.key <= e2.key:
+                found.append(AvoidableCrossing(e1, e2, point, t, u))
+            else:
+                found.append(AvoidableCrossing(e2, e1, point, u, t))
+    return tuple(sorted(found, key=lambda c: (c.edge_a.key, c.edge_b.key)))
 
 
 class TestSegmentIntersection:
@@ -175,6 +199,20 @@ class TestFindAvoidableCrossings:
         )
         with pytest.raises(DegeneracyError):
             find_avoidable_crossings(layout, 0.25)
+
+    def test_delta0_at_a_crossings_nearer_ratio(self):
+        # The scan keeps a crossing while delta0 lies strictly below its
+        # nearer ratio on both edges: exactly at that ratio it is gone, one
+        # float below it is kept.
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        crossings = scalar_crossings(layout, 0.1)
+        for crossing in (crossings[0], crossings[len(crossings) // 2], crossings[-1]):
+            nearer = min(min(r, 1.0 - r) for r in (crossing.ratio_a, crossing.ratio_b))
+            below, above = np.nextafter(nearer, 0.0), np.nextafter(nearer, 1.0)
+            for delta0 in (below, nearer, above):
+                found = find_avoidable_crossings(layout, float(delta0))
+                assert found == scalar_crossings(layout, float(delta0))
+                assert (crossing in found) == (delta0 == below)
 
     def test_delta0_out_of_range(self):
         layout = synth_layout(556, n_nodes=6, density=1.5)

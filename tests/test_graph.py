@@ -219,3 +219,15 @@ class TestColorRoles:
 def test_validate_layout_passes_bundled(data_dir):
     layout = parse_layout((data_dir / "sample_dense_40.json").read_bytes())
     validate_layout(layout)
+
+
+def test_parse_checks_the_structure_once(data_dir, monkeypatch):
+    # Building the layout checks its structure; parsing adds only the
+    # geometric check, while validate_layout re-runs both.
+    calls = []
+    check = GraphLayout.__post_init__
+    monkeypatch.setattr(GraphLayout, "__post_init__", lambda self: calls.append(check(self)))
+    layout = parse_layout((data_dir / "sample_dense_40.json").read_bytes())
+    assert len(calls) == 1
+    validate_layout(layout)
+    assert len(calls) == 2

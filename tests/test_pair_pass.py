@@ -15,7 +15,9 @@ independent of edge order, and is the one intended difference.
 import math
 import random
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -42,10 +44,9 @@ from conftest import DATA_DIR
 from gen_layouts import synth_layout
 
 
-def as_list(pairs):
-    """The (i, j) index arrays of ``_touching_pairs`` as a list of index pairs."""
-    i, j = pairs
-    return list(zip(i.tolist(), j.tolist()))
+def as_list(blocks):
+    """The (i, j) index blocks of ``_touching_pairs`` as a sorted list of pairs."""
+    return sorted(pair for i, j in blocks for pair in zip(i.tolist(), j.tolist()))
 
 
 def old_collinear_overlap(a, b, c, d):
@@ -407,13 +408,13 @@ class TestTouchingPairs:
         assert as_list(_touching_pairs([])) == []
         assert as_list(_touching_pairs([((0.0, 0.0), (1.0, 1.0))])) == []
         # Closed boxes: touching at one corner counts.
-        pairs = _touching_pairs([((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 3.0))])
-        assert as_list(pairs) == [(0, 1)]
-        assert all(index.dtype.kind == "i" for index in pairs)
+        blocks = list(_touching_pairs([((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 3.0))]))
+        assert as_list(blocks) == [(0, 1)]
+        assert all(index.dtype == np.intp for block in blocks for index in block)
 
     def test_one_pass_per_layout(self, monkeypatch):
-        # Parsing, scheduling and checking a layout share one pass, which
-        # none of them can change.
+        # Parsing, scheduling and checking a layout, at two resting ratios,
+        # share one pass, which none of them can change.
         calls = []
 
         def counted(segments):
@@ -422,13 +423,23 @@ class TestTouchingPairs:
 
         monkeypatch.setattr(graph, "_touching_pairs", counted)
         layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
-        cfg = PRESETS["fasteas"]
-        assert validate_schedule(layout, cfg, compute_schedule(layout, cfg)).passed
+        for cfg in (PRESETS["fasteas"], replace(PRESETS["slowlin"], delta0=0.1)):
+            assert validate_schedule(layout, cfg, compute_schedule(layout, cfg)).passed
+        assert len(find_avoidable_crossings(layout, 0.1)) == 1130
         assert calls == [len(layout.edges)]
-        _, pts, lengths, i, j = layout.pair_pass
-        for array in (pts, lengths, i, j):
+        _, near, parallel, crossings = layout.pair_pass
+        for array in (near, parallel, *crossings):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+                array[..., 0] = 0
+
+    def test_blocks_cover_the_sweep(self, monkeypatch):
+        # Blocks of one box each: every pair still comes once, so the pass
+        # and the brute-force oracles agree whatever the block size.
+        monkeypatch.setattr(graph, "PAIR_BLOCK", 1)
+        layout = synth_layout(5, n_nodes=40, density=3.5)
+        segments = [layout.endpoints(edge) for edge in layout.edges]
+        assert len(list(_touching_pairs(segments))) == len(segments)
+        assert_same_as_oracle(layout)
 
 
 coordinate = st.floats(min_value=-1e4, max_value=1e4)

@@ -12,8 +12,9 @@ only intersection is the shared node, where stubs legitimately meet.
 :func:`segment_intersection` is the scalar reference for one pair. The
 layout's segment-pair pass (:attr:`GraphLayout.pair_pass`) finds every proper
 crossing once, with the same arithmetic in the same operation order over
-blocks of touching pairs, so its points and ratios equal the scalar ones bit
-for bit. The scan keeps those beyond the resting ratio; only pairs under the
+blocks of touching pairs, so its points and ratios equal those of
+``segment_intersection(seg_a, seg_b)``, edge a the smaller key, bit for bit.
+The scan keeps those beyond the resting ratio; only pairs under the
 parallel bound go through the scalar collinearity test. Scheduling and the
 validator read the scan's columns, with edges as indices into
 ``layout.edges``; :func:`find_avoidable_crossings` is their public view.

@@ -296,7 +296,9 @@ def _pair_pass(layout: GraphLayout) -> tuple:
     those under the scan's 1e-14 bound, and ``crossings``, the proper
     crossings as columns (a, b, px, py, ratio_a, ratio_b), a the smaller key,
     sorted by key pairs. Lengths come from ``math.hypot`` and the arithmetic
-    follows ``crossings.segment_intersection``, so all is bit for bit equal.
+    follows ``crossings.segment_intersection``, so all is bit for bit equal;
+    each point is found along edge a, as ``segment_intersection(seg_a,
+    seg_b)`` finds it, so it does not depend on the order of the edges.
     """
     edges, m = layout.edges, len(layout.edges)
     segments = tuple(layout.endpoints(edge) for edge in edges)
@@ -339,7 +341,7 @@ def _pair_pass(layout: GraphLayout) -> tuple:
         order = np.argsort(np.where(swap, rank[j] * m + rank[i], rank[i] * m + rank[j]))
         i, j, t, u, swap = (column[order] for column in (i, j, t, u, swap))
         (a, b), ratios = np.where(swap, (j, i), (i, j)), np.where(swap, (u, t), (t, u))
-        crossings = (a, b, x0[i] + t * rx[i], y0[i] + t * ry[i], *ratios)
+        crossings = (a, b, x0[a] + ratios[0] * rx[a], y0[a] + ratios[0] * ry[a], *ratios)
     for array in (near, parallel, *crossings):
         array.setflags(write=False)
     return segments, near, parallel, crossings

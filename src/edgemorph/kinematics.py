@@ -8,6 +8,9 @@ tip speed, so the morph time depends only on edge length, never on the easing
 curve. All times are real-valued milliseconds; durations are quantized to
 microseconds at creation so that serialized schedules (3 decimal places)
 round-trip without loss.
+
+:func:`stub_ratio_matrix` is the one stub-ratio kernel; the validator's probes
+call its owner rule and phase formula too.
 """
 
 from __future__ import annotations
@@ -137,46 +140,52 @@ def edge_animation(
     return EdgeAnimation(edge=edge, tau=tau, total=2.0 * tau + cfg.tau_half)
 
 
-def animated_cells(
-    times: np.ndarray,
-    starts: Sequence[float],
-    tau: float | np.ndarray,
-    total: float | np.ndarray,
-    hold: float,
-    offsets: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one stub-ratio kernel: which cells of a time grid animate, and how.
+def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs first[i], ..., first[i] + lengths[i] - 1, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(first - lengths.cumsum() + lengths, lengths)
 
-    A start animates each time t of the ascending grid with
-    start < t < start + total, compared on absolute times. With
-    rel = t - start the edge grows while rel < tau, is fully drawn while
-    rel <= tau + hold, then retracts. tau and total are scalars or one per
-    start. A cell is a grid index plus its start's offset, if given, and the
-    start listed later owns a cell that two spans share. Returns the
-    animated cells, the mask of those still easing and their time fractions.
+
+def _owned(
+    entry: np.ndarray, starts: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The owner rule: the part [own_lo, own_hi) of each start's grid range that it draws.
+
+    Starts come grouped by entry, in listed order, and [lo, hi) holds the grid
+    samples t with start < t < start + total. The later-listed start of an
+    entry draws a sample that two of its ranges share. The spans of one entry
+    have one length, so a later span cuts off a prefix of another (it starts
+    no later) or a suffix (no earlier): one range is left, maybe empty.
     """
-    s = np.asarray(starts, dtype=float)
-    tau, total = np.asarray(tau, dtype=float), np.asarray(total, dtype=float)
-    lo = times.searchsorted(s, side="right")
-    hi = times.searchsorted(s + total, side="left")
-    lengths = np.maximum(hi - lo, 0)
-    idx = np.arange(lengths.sum()) + (lo - lengths.cumsum() + lengths).repeat(lengths)
-    cells = idx if offsets is None else idx + offsets.repeat(lengths)
-    ts = s.repeat(lengths)
-    if tau.ndim:
-        tau, total = tau.repeat(lengths), total.repeat(lengths)
-    if (cells[1:] <= cells[:-1]).any():
-        # Overlapping spans: keep each cell's last writer in start order.
-        order = np.argsort(cells, kind="stable")
-        keep = order[np.append(cells[order][1:] != cells[order][:-1], True)]
-        cells, idx, ts = cells[keep], idx[keep], ts[keep]
-        if tau.ndim:
-            tau, total = tau[keep], total[keep]
-    rel = times[idx] - ts
+    own_lo, own_hi = lo.copy(), hi.copy()
+    # In a sorted entry the next start cuts a suffix, all of it when equal.
+    same = entry[1:] == entry[:-1]
+    own_hi[:-1][same] = np.minimum(hi[:-1], lo[1:])[same]
+    for n in np.unique(entry[1:][same & (starts[1:] < starts[:-1])]).tolist():
+        listed = np.flatnonzero(entry == n)
+        order = listed[np.argsort(starts[listed], kind="stable")].tolist()
+        place = {j: p for p, j in enumerate(order)}
+        left, right = list(range(-1, len(order) - 1)), list(range(1, len(order) + 1))
+        # Unlinked in listed order, a start's neighbours in time are the
+        # nearest later-listed starts.
+        for j in listed.tolist():
+            p = place[j]
+            own_lo[j], own_hi[j] = lo[j], hi[j]  # not the sorted rule's cut
+            if left[p] >= 0:
+                own_lo[j] = max(lo[j], hi[order[left[p]]])
+                right[left[p]] = right[p]
+            if right[p] < len(order):
+                own_hi[j] = min(hi[j], lo[order[right[p]]])
+                left[right[p]] = left[p]
+    return own_lo, own_hi
+
+
+def _phase(rel: np.ndarray, tau: np.ndarray, total: np.ndarray, hold: float) -> tuple:
+    """The phase formula at times rel after a start: growing and retracting
+    masks, and the eased fractions of the times in either, in order."""
     growing = rel < tau
-    eased = growing | (rel > tau + hold)
-    fractions = np.where(growing, rel, total - rel)[eased]
-    return cells, eased, fractions / (tau[eased] if tau.ndim else tau)
+    retracting = rel > tau + hold
+    eased = growing | retracting
+    return growing, retracting, np.where(growing, rel, total - rel)[eased] / tau[eased]
 
 
 def sample_times(times: Sequence[float]) -> np.ndarray:
@@ -195,27 +204,30 @@ def stub_ratio_matrix(
     """Stub ratios of many edges at many absolute times, as an edges x times array.
 
     Each entry of ``edges`` is an animation with its start times, or None for
-    an edge that never animates. All starts go through one call of
-    :func:`animated_cells`, row r at cell offset r * len(times), and all eased
-    fractions through one easing evaluation; every other cell rests at delta0.
-    Times must be finite and ascending (equal neighbours are fine); any other
-    list raises RangeError, since the kernel's search would misplace them.
+    an edge that never animates. :func:`_owned` decides which start draws each
+    cell and :func:`_phase` in which phase, and all eased fractions go through
+    one easing evaluation; every other cell rests at delta0. Times must be
+    finite and ascending (equal neighbours are fine); any other list raises
+    RangeError, since the kernel's search would misplace them.
     """
     t = sample_times(times)
     out = np.full((len(edges), t.size), cfg.delta0)
     rows = [(row, *entry) for row, entry in enumerate(edges) if entry is not None]
-    counts = [len(starts) for _, _, starts in rows]
-    cells, eased, fractions = animated_cells(
-        t,
-        [ts for _, _, starts in rows for ts in starts],
-        np.repeat([anim.tau for _, anim, _ in rows], counts),
-        np.repeat([anim.total for _, anim, _ in rows], counts),
-        cfg.tau_half,
-        np.repeat([row * t.size for row, _, _ in rows], counts).astype(int),
+    per_row = np.reshape([(row, anim.tau, anim.total) for row, anim, _ in rows], (-1, 3))
+    row, tau, total = per_row.repeat([len(starts) for _, _, starts in rows], axis=0).T
+    starts = np.array([ts for _, _, row_starts in rows for ts in row_starts], dtype=float)
+    lo, hi = _owned(row, starts, t.searchsorted(starts, "right"), t.searchsorted(starts + total))
+    lengths = np.maximum(hi - lo, 0)
+    idx = _ranges(lo, lengths)
+    growing, retracting, fractions = _phase(
+        t[idx] - starts.repeat(lengths), tau.repeat(lengths), total.repeat(lengths), cfg.tau_half
     )
+    cells = idx + (row.astype(int) * t.size).repeat(lengths)
     flat = out.reshape(-1)
     flat[cells] = 0.5
-    flat[cells[eased]] = cfg.delta0 + cfg.ratio_span * evaluate_many(cfg.easing, fractions)
+    flat[cells[growing | retracting]] = cfg.delta0 + cfg.ratio_span * evaluate_many(
+        cfg.easing, fractions
+    )
     return out
 
 

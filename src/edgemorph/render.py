@@ -7,8 +7,9 @@ black edge stubs on a white background; the drawing area is the node bounding
 box plus a 10 px margin. Coordinates are written with three decimal places.
 
 Every path samples stub ratios through
-:func:`~edgemorph.kinematics.stub_ratio_matrix`, on the one stub-ratio kernel
-that the validator samples too, so ``check`` verifies exactly the ratios drawn.
+:func:`~edgemorph.kinematics.stub_ratio_matrix`, the one stub-ratio kernel,
+whose owner rule and phase formula the validator's probes call too, so
+``check`` verifies exactly the ratios drawn.
 :func:`_tips` turns the edges x times ratio matrix into tip coordinate
 arrays with the affine form that :func:`~edgemorph.graph.stub_pair` uses.
 

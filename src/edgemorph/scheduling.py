@@ -24,8 +24,9 @@ time zero, so the frame at time zero shows the resting drawing.
 crossing-point separation, per-edge start separation, the horizon and the
 resting initial frame on a 1 ms time grid. It reuses none of the interval
 arithmetic that placed the starts: by searches on the forward easing, with
-the ratios rendering draws, it finds the grid samples where each start
-covers each crossing point, as ranges, and compares crossing partners'.
+the ratios rendering draws, through the kernel's owner rule and phase
+formula, it finds the grid samples where each start covers each crossing
+point, as ranges, and compares crossing partners'.
 Each search starts where a table of the forward easing puts its answer, and
 bisects where that hint missed: the hint never decides a verdict.
 
@@ -51,6 +52,9 @@ from .graph import EdgeSpec, GraphLayout, json_number, json_object
 from .kinematics import (
     AnimationConfig,
     EdgeAnimation,
+    _owned,
+    _phase,
+    _ranges,
     ceil_ms,
     config_from_dict,
     config_to_dict,
@@ -276,48 +280,6 @@ class ScheduleReport:
     violation_counts: tuple[tuple[str, int], ...] = ()
 
 
-def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The runs first[i], ..., first[i] + lengths[i] - 1, concatenated."""
-    return np.arange(lengths.sum()) + np.repeat(first - lengths.cumsum() + lengths, lengths)
-
-
-def _owned(
-    entry: np.ndarray, starts: np.ndarray, total: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The grid range [lo, hi) that each start owns on a grid of count samples.
-
-    Starts come grouped by entry, in listed order, each with its entry's
-    total. A start animates the samples t with start < t < start + total,
-    and the later-listed start of an entry owns a sample that two of its
-    spans share, as in :func:`~edgemorph.kinematics.animated_cells`. The
-    spans of one entry have one length, so a later span cuts off a prefix of
-    another (it starts no later) or a suffix (no earlier): one range is left.
-    """
-    lo = np.clip(np.floor(starts) + 1, 0, count).astype(int)
-    hi = np.clip(np.ceil(starts + total), 0, count).astype(int)
-    own_lo, own_hi = lo.copy(), hi.copy()
-    # In a sorted entry the next start cuts a suffix, all of it when equal.
-    same = entry[1:] == entry[:-1]
-    own_hi[:-1][same] = np.minimum(hi[:-1], lo[1:])[same]
-    for n in np.unique(entry[1:][same & (starts[1:] < starts[:-1])]).tolist():
-        listed = np.flatnonzero(entry == n)
-        order = listed[np.argsort(starts[listed], kind="stable")].tolist()
-        place = {j: p for p, j in enumerate(order)}
-        left, right = list(range(-1, len(order) - 1)), list(range(1, len(order) + 1))
-        # Unlinked in listed order, a start's neighbours in time are the
-        # nearest later-listed starts.
-        for j in listed.tolist():
-            p = place[j]
-            own_lo[j], own_hi[j] = lo[j], hi[j]  # not the sorted rule's cut
-            if left[p] >= 0:
-                own_lo[j] = max(lo[j], hi[order[left[p]]])
-                right[left[p]] = right[p]
-            if right[p] < len(order):
-                own_hi[j] = min(hi[j], lo[order[right[p]]])
-                left[right[p]] = left[p]
-    return own_lo, own_hi
-
-
 def validate_schedule(
     layout: GraphLayout, cfg: AnimationConfig, schedule: Schedule
 ) -> ScheduleReport:
@@ -348,15 +310,17 @@ def validate_schedule(
     within the samples that each start owns. It starts at a hint: the
     forward easing, tabulated once at 1 025 even fractions and interpolated,
     gives the sample where each end should lie, and the first two probes go
-    there and just before it; bisection goes on where they miss. Each probe
-    computes the ratio as :func:`~edgemorph.kinematics.animated_cells` does,
-    through the forward easing only, so no arithmetic is shared with
-    placement, and verdicts come from probes only; the search rests on eased
-    ratios never decreasing along the grid, which ``tests/test_easing.py``
-    pins. A crossing clashes where a range of its first edge meets one of its
-    second widened by the samples within tau_distinct, and the first such
-    sample is reported. The sample at time 0 is probed for entries with a
-    start below 0; (a) sees probes only.
+    there and just before it; bisection goes on where they miss. Owned
+    samples and each probe's phase come from the kernel's owner rule and
+    phase formula (:func:`~edgemorph.kinematics._owned`, ``_phase``), so a
+    probe's ratio is the one rendering draws, eased by the forward easing
+    only: no arithmetic is shared with placement, and verdicts come from
+    probes only; the search rests on eased ratios never decreasing along the
+    grid, which ``tests/test_easing.py`` pins. A crossing clashes where a
+    range of its first edge meets one of its second widened by the samples
+    within tau_distinct, and the first such sample is reported. The sample
+    at time 0 is probed for entries with a start below 0; (a) sees probes
+    only.
     """
     cfg = own_config(cfg, schedule)
     for se in schedule.edges:
@@ -416,17 +380,14 @@ def validate_schedule(
     def drawn(entries, starts, times):
         """Growing and retracting masks, and ratios, of starts at grid times.
 
-        The kernel's arithmetic, bit for bit. Ratios outside [delta0, 1/2]
-        are noted for their entries.
+        Ratios outside [delta0, 1/2] are noted for their entries.
         """
-        tau = taus[entries]
-        rel = times - starts
-        growing = rel < tau
-        retracting = rel > tau + cfg.tau_half
-        eased = growing | retracting
-        fractions = np.where(growing, rel, totals[entries] - rel)[eased] / tau[eased]
-        ratios = np.full(len(rel), 0.5)
-        ratios[eased] = evaluate_many(cfg.easing, fractions) * cfg.ratio_span + cfg.delta0
+        growing, retracting, fractions = _phase(
+            times - starts, taus[entries], totals[entries], cfg.tau_half
+        )
+        ratios = np.full(len(growing), 0.5)
+        eased = evaluate_many(cfg.easing, fractions) * cfg.ratio_span + cfg.delta0
+        ratios[growing | retracting] = eased
         wrong = (ratios < least) | (ratios > most)
         for n, t, ratio in zip(*(x[wrong].tolist() for x in (entries, times, ratios))):
             off_curve[n] = min(off_curve.get(n, (math.inf, 0.0)), (float(t), ratio))
@@ -448,7 +409,9 @@ def validate_schedule(
     pairs, group = np.unique(np.concatenate([a, b]) + 1j * threshold, return_inverse=True)
 
     # Crossings read an edge's last entry (-1: none): its starts, edge by edge
-    # in layout order, and the range of grid samples that each one owns.
+    # in layout order, and the range of grid samples that each one owns. On
+    # the grid 0, 1, ..., count - 1 the samples start < t < start + total run
+    # from floor(start) + 1 up to ceil(start + total), clipped to the grid.
     keys = [e.key for e in layout.edges]
     last = {se.animation.edge.key: n for n, se in enumerate(schedule.edges)}
     listed = np.array([last.get(key, -1) for key in keys], dtype=int)
@@ -456,7 +419,9 @@ def validate_schedule(
     per_edge = np.array([len(s) for s in starts], dtype=int)
     entry = np.repeat(listed, per_edge)
     start = np.array([ts for s in starts for ts in s], dtype=float)
-    lo, hi = _owned(entry, start, totals[entry], count)
+    lo = np.clip(np.floor(start) + 1, 0, count).astype(int)
+    hi = np.clip(np.ceil(start + totals[entry]), 0, count).astype(int)
+    lo, hi = _owned(entry, start, lo, hi)
 
     # A probe is one start of one group. A search over its owned range finds
     # each end of its covered range: the first copy of each probe seeks the

@@ -55,22 +55,21 @@ def brute_force_crossings(layout, delta0):
 
 
 def scalar_crossings(layout, delta0):
-    """Exact oracle: :func:`segment_intersection` on every non-adjacent pair."""
+    """Exact oracle: :func:`segment_intersection` on every non-adjacent pair,
+    the edge with the smaller key first."""
     edges, found = layout.edges, []
     for i, e1 in enumerate(edges):
         for e2 in edges[i + 1 :]:
             if set(e1.key) & set(e2.key):
                 continue
-            hit = segment_intersection(layout.endpoints(e1), layout.endpoints(e2))
+            ea, eb = sorted((e1, e2), key=lambda edge: edge.key)
+            hit = segment_intersection(layout.endpoints(ea), layout.endpoints(eb))
             if hit is None:
                 continue
             point, t, u = hit
             if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
                 continue
-            if e1.key <= e2.key:
-                found.append(AvoidableCrossing(e1, e2, point, t, u))
-            else:
-                found.append(AvoidableCrossing(e2, e1, point, u, t))
+            found.append(AvoidableCrossing(ea, eb, point, t, u))
     return tuple(sorted(found, key=lambda c: (c.edge_a.key, c.edge_b.key)))
 
 

@@ -22,6 +22,7 @@ from edgemorph import (
     parse_layout,
     parse_schedule,
     schedule_to_json,
+    segment_intersection,
     validate_schedule,
 )
 from conftest import DATA_DIR
@@ -57,8 +58,8 @@ def started_together(text):
     return parse_schedule(json.dumps(doc))
 
 
-def rows(crossings):
-    return [(c.edge_a.key, c.edge_b.key, c.ratio_a, c.ratio_b) for c in crossings]
+def keys(crossings):
+    return [(c.edge_a.key, c.edge_b.key) for c in crossings]
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -75,17 +76,28 @@ def test_order_and_offset_leave_schedule_and_report_unchanged(name, preset):
         for variant in (*shuffles, shifted(layout)):
             assert schedule_to_json(compute_schedule(variant, cfg)) == text
             assert validate_schedule(variant, cfg, schedule) == report
-    # Under a shuffle, crossings come in the same edge-key order with the same
-    # ratios, and a failing report lists the same violations in the same
-    # order. A shuffle may compute a crossing point from the other edge's
-    # endpoint, and a shift moves it: crossing rows leave points out, and
-    # shifted ones are compared by edge keys only.
+    # Under a shuffle, crossings come out equal, points included, and a
+    # failing report lists the same violations in the same order. A shift
+    # moves the points: shifted crossings are compared by edge keys only.
     crossings = find_avoidable_crossings(layout, cfg.delta0)
     clashing = started_together(text)
     failed = validate_schedule(layout, cfg, clashing)
     assert {v.kind for v in failed.violations} == {"crossing-separation"}
     for variant in shuffles:
-        assert rows(find_avoidable_crossings(variant, cfg.delta0)) == rows(crossings)
+        assert find_avoidable_crossings(variant, cfg.delta0) == crossings
         assert validate_schedule(variant, cfg, clashing) == failed
-    keys = [row[:2] for row in rows(crossings)]
-    assert [row[:2] for row in rows(find_avoidable_crossings(shifted(layout), cfg.delta0))] == keys
+    assert keys(find_avoidable_crossings(shifted(layout), cfg.delta0)) == keys(crossings)
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_crossing_points_are_found_along_the_smaller_key(name):
+    # Each point is the one segment_intersection finds along the edge with
+    # the smaller key, whichever of the two the layout lists first.
+    layout = base_layout(name)
+    for delta0 in (0.1, 0.25, 0.4):
+        crossings = find_avoidable_crossings(layout, delta0)
+        for c in crossings:
+            hit = segment_intersection(layout.endpoints(c.edge_a), layout.endpoints(c.edge_b))
+            assert hit == (c.point, c.ratio_a, c.ratio_b)
+        for seed in (1, 2, 3):
+            assert find_avoidable_crossings(shuffled(layout, seed), delta0) == crossings

@@ -132,16 +132,14 @@ def old_find_avoidable_crossings(layout, delta0):
             e2, s2 = edges[j], segments[j]
             if set(e1.key) & set(e2.key) or old_bbox_disjoint(s1, s2):
                 continue
-            hit = old_segment_intersection(s1, s2)
+            (ea, sa), (eb, sb) = sorted(((e1, s1), (e2, s2)), key=lambda pair: pair[0].key)
+            hit = old_segment_intersection(sa, sb)
             if hit is None:
                 continue
             point, t, u = hit
             if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
                 continue
-            if e1.key <= e2.key:
-                found.append(AvoidableCrossing(e1, e2, point, t, u))
-            else:
-                found.append(AvoidableCrossing(e2, e1, point, u, t))
+            found.append(AvoidableCrossing(ea, eb, point, t, u))
     found.sort(key=lambda c: (c.edge_a.key, c.edge_b.key))
     return tuple(found)
 
@@ -324,19 +322,16 @@ class TestExtremeCoordinates:
         segments = [layout.endpoints(edge) for edge in edges]
         found = []
         for i, j in as_list(_touching_pairs(segments)):
-            e1, e2 = edges[i], edges[j]
-            if set(e1.key) & set(e2.key):
+            if set(edges[i].key) & set(edges[j].key):
                 continue
+            i, j = sorted((i, j), key=lambda k: edges[k].key)
             hit = segment_intersection(segments[i], segments[j])
             if hit is None:
                 continue
             point, t, u = hit
             if min(t, 1.0 - t) <= delta0 or min(u, 1.0 - u) <= delta0:
                 continue
-            if e1.key <= e2.key:
-                found.append(AvoidableCrossing(e1, e2, point, t, u))
-            else:
-                found.append(AvoidableCrossing(e2, e1, point, u, t))
+            found.append(AvoidableCrossing(edges[i], edges[j], point, t, u))
         found.sort(key=lambda c: (c.edge_a.key, c.edge_b.key))
         return tuple(found)
 

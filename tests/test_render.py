@@ -27,11 +27,12 @@ from edgemorph import (
     stub_pair,
 )
 from edgemorph.easing import evaluate
-from edgemorph.kinematics import stub_ratio_matrix
+from edgemorph.kinematics import EdgeAnimation, stub_ratio_matrix
 import edgemorph.render as render
 from edgemorph.render import MAX_FRAMES, frame_texts
 from edgemorph.scheduling import sample_ratio_series
 from conftest import DATA_DIR
+from test_scheduling import loop_ratio_series
 from gen_layouts import k4_square
 
 SLOWLIN = PRESETS["slowlin"]
@@ -436,29 +437,56 @@ def overlapping_schedule():
     return layout, cfg, replace(schedule, edges=tuple(edges))
 
 
+def assert_rows_equal_the_start_loop(cfg, entries, times):
+    """Each matrix row is the per-start loop's series, a later start overwriting."""
+    matrix = stub_ratio_matrix(cfg, entries, times)
+    for row, entry in zip(matrix, entries):
+        if entry is None:
+            assert np.all(row == cfg.delta0)
+        else:
+            assert np.array_equal(row, loop_ratio_series(*entry, cfg, times))
+
+
 @pytest.mark.parametrize(
     "case",
     [*KERNEL_CASES, "overlapping"],
     ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)),
 )
 def test_matrix_rows_equal_validator_series(case):
-    """Render and check sample the same ratios, to the last bit."""
+    """Each row is, to the last bit, the validator tests' start-by-start oracle."""
     if case == "overlapping":
         layout, cfg, schedule = overlapping_schedule()
     else:
         layout, cfg, schedule = multi_start_schedule(*case)
-    by_key = schedule.starts_by_key()
-    scheduled = [by_key.get(edge.key) for edge in layout.edges]
-    times = np.array(boundary_times(schedule))
-    matrix = stub_ratio_matrix(
-        cfg, [None if se is None else (se.animation, se.starts) for se in scheduled], times
-    )
-    for row, se in zip(matrix, scheduled):
-        if se is None:
-            assert np.all(row == cfg.delta0)
-        else:
-            series = sample_ratio_series(se.animation, se.starts, cfg, times)
-            assert np.array_equal(row, series)
+    entries = kernel_entries(layout, schedule)
+    assert_rows_equal_the_start_loop(cfg, entries, np.array(boundary_times(schedule)))
+
+
+half_ms = st.integers(-40, 160).map(lambda k: k / 2)
+
+
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    hold=st.sampled_from([0.0, 2.5, 30.0]),
+    grid=st.lists(st.integers(0, 200), min_size=1, max_size=80),
+    rows=st.lists(
+        st.none() | st.tuples(st.sampled_from([0.5, 4.0, 12.25]), st.lists(half_ms, max_size=6)),
+        max_size=4,
+    ),
+)
+# At 5.5 ms the later-listed start holds while the earlier-listed one grows.
+@example(preset="slowlin", hold=2.5, grid=[11], rows=[(4.0, [5.0, 0.0])])
+def test_matrix_rows_equal_the_start_loop_on_drawn_starts(preset, hold, grid, rows):
+    # Unsorted, duplicate and overlapping starts on 0.5 ms steps, many of them
+    # on grid times, which come with equal neighbours.
+    cfg = replace(PRESETS[preset], tau_half=hold)
+    entries = [
+        None
+        if row is None
+        else (EdgeAnimation(EdgeSpec("a", "b"), row[0], 2.0 * row[0] + hold), tuple(row[1]))
+        for row in rows
+    ]
+    assert_rows_equal_the_start_loop(cfg, entries, np.array(sorted(grid)) / 2)
 
 
 SAMPLE_CASES = ["sample-sloweas", "sample-fastlin-h60s"]

@@ -13,9 +13,12 @@ Edges are indices into ``layout.edges`` and crossings rows of the scan's
 table; edge keys appear only in the results. Each edge keeps one sorted list
 of its forbidden start windows, extended as its crossing partners gain
 starts, and the earliest-feasible search bisects into that list just below
-the candidate instead of rebuilding it. Because windows only accumulate, an
-edge whose next animation overruns the horizon could never fit later: it is
-retired, and the repeat passes end when no edge is left.
+the candidate instead of rebuilding it. Windows go only to edges that will
+search again: without a horizon an edge searches once, just before it is
+placed, so only partners placed after it receive its windows. Because
+windows only accumulate, an edge whose next animation overruns the horizon
+could never fit later: it is retired, and the repeat passes end when no edge
+is left.
 
 The first pass always places every edge once and every start is at or after
 time zero, so the frame at time zero shows the resting drawing.
@@ -150,24 +153,37 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     edges = layout.edges
     animations = [edge_animation(e, layout, cfg) for e in edges]
     totals = [anim.total for anim in animations]
-    partners: list[list[tuple[int, float, float]]] = [[] for _ in edges]
     taus = np.array([anim.tau for anim in animations])
-    columns = (column.tolist() for column in conflict_constraints(layout, cfg, taus))
-    for a, b, reach_a, reach_b in zip(*columns):
-        partners[a].append((b, reach_a, reach_b))
-        partners[b].append((a, reach_b, reach_a))
+    a, b, reach_a, reach_b = conflict_constraints(layout, cfg, taus)
 
     # No forbidden window of an edge is longer than its span (reaches lie in
-    # [0, tau]). The 1 ms here and the relative 1e-9 in the search absorb
-    # float noise in the window ends at any time scale.
-    spans = [
-        total
-        + max((totals[other] for other, _, _ in group), default=0.0)
-        + 2.0 * cfg.tau_distinct
-        + 1.0
-        for total, group in zip(totals, partners)
-    ]
+    # [0, tau]), whichever crossing partner pushed it. The 1 ms here and the
+    # relative 1e-9 in the search absorb float noise in the window ends at
+    # any time scale.
+    total_of = np.array(totals)
+    widest = np.zeros(len(edges))
+    np.maximum.at(widest, a, total_of[b])
+    np.maximum.at(widest, b, total_of[a])
+    spans = (total_of + widest + 2.0 * cfg.tau_distinct + 1.0).tolist()
     order = sorted(range(len(edges)), key=lambda k: (-animations[k].tau, edges[k].key))
+
+    # partners[k]: the crossing partners that read the windows k's starts
+    # push to them, with both reaches. Without a horizon each edge searches
+    # once, just before it is placed, so only partners placed after k do.
+    pushes = [(a, b, reach_a, reach_b), (b, a, reach_b, reach_a)]
+    if cfg.horizon is None:
+        rank = np.empty(len(edges), dtype=int)
+        rank[order] = np.arange(len(edges))
+        first = rank[a] < rank[b]
+        pushes = [
+            tuple(column[mask] for column in push)
+            for push, mask in zip(pushes, (first, ~first))
+        ]
+    partners: list[list[tuple[int, float, float]]] = [[] for _ in edges]
+    for push in pushes:
+        for k, other, reach_self, reach_other in zip(*(c.tolist() for c in push)):
+            partners[k].append((other, reach_self, reach_other))
+
     starts: list[list[float]] = [[] for _ in edges]
     windows: list[list[tuple[float, float]]] = [[] for _ in edges]
 
@@ -584,7 +600,47 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_to_json(schedule: Schedule) -> str:
-    return json.dumps(schedule_to_dict(schedule), indent=2)
+    """:func:`schedule_to_dict`'s document, laid out as ``json.dumps(doc, indent=2)``.
+
+    ``indent`` would make the standard library encode every value in Python,
+    so unindented calls to its C encoder write the values and the layout is
+    added around them. A non-finite time raises RangeError naming
+    its edge: JSON has no such number, and :func:`parse_schedule` refuses it.
+    """
+    for se in schedule.edges:
+        if not all(map(math.isfinite, (se.animation.tau, se.animation.total, *se.starts))):
+            source, target = se.animation.edge.key
+            raise RangeError(f"non-finite time in schedule edge {source}-{target}")
+    if not math.isfinite(schedule.makespan):
+        raise RangeError(f"non-finite schedule makespan {schedule.makespan}")
+    doc = schedule_to_dict(schedule)
+    entries = doc["edges"]
+    config = json.dumps(doc["config"], separators=(",\n    ", ": "), allow_nan=False)
+    # Strings escape every control character, so "\0" only ever separates
+    # items; numbers hold no brackets, so "],\n        [" only separates lists.
+    fields = [doc["makespan_ms"]]
+    for entry in entries:
+        fields += (entry["source"], entry["target"], entry["tau_ms"], entry["total_ms"])
+    makespan, *scalars = json.dumps(fields, separators=("\0", ":"), allow_nan=False)[1:-1].split("\0")
+    lists = json.dumps(
+        [entry["starts_ms"] for entry in entries],
+        separators=(",\n        ", ": "),
+        allow_nan=False,
+    )[2:-2].split("],\n        [")
+    items = []
+    rows = zip(scalars[::4], scalars[1::4], scalars[2::4], scalars[3::4], lists)
+    for source, target, tau, total, starts in rows:
+        starts = "[\n        " + starts + "\n      ]" if starts else "[]"
+        items.append(
+            f'    {{\n      "source": {source},\n      "target": {target},\n'
+            f'      "tau_ms": {tau},\n      "total_ms": {total},\n'
+            f'      "starts_ms": {starts}\n    }}'
+        )
+    listed = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return (
+        f'{{\n  "config": {{\n    {config[1:-1]}\n  }},\n'
+        f'  "makespan_ms": {makespan},\n  "edges": {listed}\n}}'
+    )
 
 
 def schedule_from_dict(doc: dict) -> Schedule:

@@ -108,15 +108,15 @@ class TestSampleFrame:
             ratios = ratios_at(cross_layout, SLOWLIN, cross_schedule, float(t))
             assert all(0.25 <= r <= 0.5 for r in ratios.values())
 
-    def test_millisecond_sweep_matches_validator_series(
-        self, cross_layout, cross_schedule
-    ):
+    def test_millisecond_sweep_matches_the_start_loop(self, cross_layout, cross_schedule):
         times = np.arange(0.0, cross_schedule.makespan + 1.0, 1.0)
         for se in cross_schedule.edges:
+            expected = loop_ratio_series(se.animation, se.starts, SLOWLIN, times)
             series = sample_ratio_series(se.animation, se.starts, SLOWLIN, times)
+            assert np.array_equal(series, expected)
             for i in (0, 150, 999, 1000, 1500, 2000, len(times) - 1):
                 ratios = ratios_at(cross_layout, SLOWLIN, cross_schedule, float(times[i]))
-                assert ratios[se.animation.edge.key] == float(series[i])
+                assert ratios[se.animation.edge.key] == float(expected[i])
 
     def test_repeated_animation_uses_latest_start(self, cross_layout):
         cfg = replace(SLOWLIN, horizon=7000.0)

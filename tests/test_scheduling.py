@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -1233,6 +1234,90 @@ class TestSerialization:
         schedule = compute_schedule(cross_layout, cfg)
         back = parse_schedule(schedule_to_json(schedule))
         assert back.config == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_layout_is_json_dumps_with_indent_2(self, data):
+        times = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(10**20), 10**20),
+            st.booleans(),
+            st.sampled_from([-0.0, 0.0, 5e-324, -1e-7, 1e308]),
+        )
+        ids = st.one_of(st.text(max_size=5), st.sampled_from(['"', "\n", "\0", "], [", "ü", "\\"]))
+        endpoints = st.tuples(ids, ids).filter(lambda pair: pair[0] != pair[1])
+        edges = data.draw(
+            st.lists(
+                st.builds(
+                    ScheduledEdge,
+                    st.builds(
+                        EdgeAnimation,
+                        endpoints.map(lambda pair: EdgeSpec(*pair)),
+                        times.filter(lambda tau: tau > 0),
+                        times,
+                    ),
+                    st.lists(times, max_size=4).map(tuple),
+                ),
+                max_size=4,
+            )
+        )
+        cfg = replace(
+            data.draw(st.sampled_from(sorted(PRESETS.values(), key=repr))),
+            horizon=data.draw(st.sampled_from([None, 30_000.0, 1.5])),
+        )
+        schedule = Schedule(config=cfg, edges=tuple(edges), makespan=data.draw(times))
+        assert schedule_to_json(schedule) == json.dumps(schedule_to_dict(schedule), indent=2)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda se: replace(se, starts=(*se.starts[:-1], math.nan)),
+            lambda se: replace(se, starts=(math.inf, *se.starts)),
+            lambda se: replace(se, animation=replace(se.animation, tau=math.inf)),
+            lambda se: replace(se, animation=replace(se.animation, total=-math.inf)),
+        ],
+        ids=["start-nan", "start-inf", "tau-inf", "total-minus-inf"],
+    )
+    def test_non_finite_time_is_range_error(self, edit):
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        schedule = compute_schedule(layout, PRESETS["sloweas"])
+        bad = schedule.edges[3]
+        edges = (*schedule.edges[:3], edit(bad), *schedule.edges[4:])
+        source, target = bad.animation.edge.key
+        with pytest.raises(RangeError, match=f"^non-finite time in schedule edge {source}-{target}$"):
+            schedule_to_json(replace(schedule, edges=edges))
+        with pytest.raises(RangeError, match="^non-finite schedule makespan nan$"):
+            schedule_to_json(replace(schedule, makespan=math.nan))
+
+
+#: SHA-256 of schedule_to_json's text: the sample under each preset without a
+#: horizon and with 30 s and 60 s ones, and a synth n=150 layout under sloweas.
+SCHEDULE_DIGESTS = {
+    ("slowlin", None): "5051f9d73574429e7d5610d1167255253e43301ec094e1ae6e04dd0fb5982e40",
+    ("slowlin", 30_000.0): "d9f76c409023c5cd50f82a947a9ceb4cc66c76932070bbc0f4640c516a2b3227",
+    ("slowlin", 60_000.0): "9cda48da09dfa09ab6c527edb3e772567ee3cabdf937e8a1d72041d0a0f78ce7",
+    ("fastlin", None): "fc5a65a253236cbeea0eeb32245aad81b82e982182443038b164140873fedc69",
+    ("fastlin", 30_000.0): "27ef4502c2640f05819ac94e1783c94981599b5dcefc17e99425f503d9f69551",
+    ("fastlin", 60_000.0): "81cca391b3cb8095b307f9e808c3e7721360138f86706f824ccf83f403bb7136",
+    ("sloweas", None): "6a812adf4ddcb5e1687cfc6e39f35a6d3b03680f5b2c52f1eaca40cedd439010",
+    ("sloweas", 30_000.0): "c69f199c143777fe6b79669fba88f04d6694a60c30547612202dedf5e4e79472",
+    ("sloweas", 60_000.0): "9cfa1c283099d03380762b9dee9ebd9e850f921558d69dbadbf6654518f1a62e",
+    ("fasteas", None): "1c24988970bd1f4273f0fe67b7523e24a0c5339f1a8cb8b45e82be4017f8a607",
+    ("fasteas", 30_000.0): "d399767f422e6cffa0e0cd890aff18b3abf025458a62106586947b4310afc4f7",
+    ("fasteas", 60_000.0): "9c721ce46ff9b4531cb236e05b1e15042f01a524def08e8475f17d9a46f4020d",
+    ("n150", None): "4d16cb4479fb5639060b718616fec537163166a11a2b988d7832954e1d786423",
+}
+
+
+@pytest.mark.parametrize("preset, horizon", list(SCHEDULE_DIGESTS))
+def test_schedule_files_are_pinned_byte_for_byte(preset, horizon):
+    if preset == "n150":
+        layout, cfg = synth_layout(1, 150, 4, spacing=200, bias=1.5), PRESETS["sloweas"]
+    else:
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        cfg = replace(PRESETS[preset], horizon=horizon)
+    text = schedule_to_json(compute_schedule(layout, cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_DIGESTS[preset, horizon]
 
 
 @pytest.mark.parametrize("over, fails", [(0.0, False), (1e-7, False), (1e-5, True), (50.0, True)])

@@ -389,6 +389,8 @@ def json_object(raw: bytes | str, what: str) -> dict:
         doc = json.loads(raw)
     except ValueError as exc:  # also a number with too many digits for int()
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what} is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what} document must be a JSON object")
     return doc

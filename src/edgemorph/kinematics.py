@@ -117,7 +117,7 @@ PRESETS: dict[str, AnimationConfig] = {
 
 @dataclass(frozen=True)
 class EdgeAnimation:
-    """Durations of one edge's animation: one-way morph time and total."""
+    """Durations of one edge's animation, finite: one-way morph time and total."""
 
     edge: EdgeSpec
     tau: float    # one-way morph duration, ms
@@ -126,6 +126,9 @@ class EdgeAnimation:
     def __post_init__(self) -> None:
         if not self.tau > 0.0:
             raise ConfigError(f"morph duration must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and math.isfinite(self.total)):
+            source, target = self.edge.key
+            raise RangeError(f"non-finite time in schedule edge {source}-{target}")
 
 
 def edge_animation(

@@ -13,12 +13,13 @@ Edges are indices into ``layout.edges`` and crossings rows of the scan's
 table; edge keys appear only in the results. Each edge keeps one sorted list
 of its forbidden start windows, extended as its crossing partners gain
 starts, and the earliest-feasible search bisects into that list just below
-the candidate instead of rebuilding it. Windows go only to edges that will
-search again: without a horizon an edge searches once, just before it is
-placed, so only partners placed after it receive its windows. Because
-windows only accumulate, an edge whose next animation overruns the horizon
-could never fit later: it is retired, and the repeat passes end when no edge
-is left.
+the candidate instead of rebuilding it. Only live windows are inserted: an
+edge's next search starts at a base (0, then a full animation plus the
+distinctness time after its last start; never, once placed without a horizon
+or retired), and a window ending at or before it can move no candidate.
+Because windows only accumulate, an edge whose next animation overruns the
+horizon could never fit later: it is retired, and the repeat passes end when
+no edge is left.
 
 The first pass always places every edge once and every start is at or after
 time zero, so the frame at time zero shows the resting drawing.
@@ -45,6 +46,7 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -144,7 +146,8 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     """Greedy schedule for all edges of a layout under one configuration.
 
     Deterministic: ties in morph duration break lexicographically by edge id,
-    and repeat passes walk edges in the same order. Raises ConfigError when a
+    and repeat passes walk edges in the same order; only live windows are
+    inserted (see the module docstring). Raises ConfigError when a
     horizon is too short for even a single animation of every edge, or so
     long that the schedule would hold more than :data:`MAX_STARTS` starts,
     and when the schedule would end at or past :data:`MAX_SAMPLES` ms, beyond
@@ -168,8 +171,9 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
     order = sorted(range(len(edges)), key=lambda k: (-animations[k].tau, edges[k].key))
 
     # partners[k]: the crossing partners that read the windows k's starts
-    # push to them, with both reaches. Without a horizon each edge searches
-    # once, just before it is placed, so only partners placed after k do.
+    # push to them, with both reaches and the rest of the partner's animation
+    # after its reach. Without a horizon each edge searches once, just before
+    # it is placed, so only partners placed after k do.
     pushes = [(a, b, reach_a, reach_b), (b, a, reach_b, reach_a)]
     if cfg.horizon is None:
         rank = np.empty(len(edges), dtype=int)
@@ -179,42 +183,49 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
             tuple(column[mask] for column in push)
             for push, mask in zip(pushes, (first, ~first))
         ]
-    partners: list[list[tuple[int, float, float]]] = [[] for _ in edges]
+    partners: list[list[tuple[int, float, float, float]]] = [[] for _ in edges]
     for push in pushes:
         for k, other, reach_self, reach_other in zip(*(c.tolist() for c in push)):
-            partners[k].append((other, reach_self, reach_other))
+            partners[k].append((other, reach_self, reach_other, totals[other] - reach_other))
 
+    tau_distinct = cfg.tau_distinct
     starts: list[list[float]] = [[] for _ in edges]
     windows: list[list[tuple[float, float]]] = [[] for _ in edges]
+    # searched[k]: where k's next search begins; inf once it never searches again.
+    searched = [0.0] * len(edges)
 
     def place(k: int, ts: float) -> None:
+        # Windows as forbidden_start_window forms them, each only if live.
         starts[k].append(ts)
-        for other, reach_self, reach_other in partners[k]:
-            occupancy = (ts + reach_self, ts + totals[k] - reach_self)
-            insort(
-                windows[other],
-                forbidden_start_window(
-                    reach_other, totals[other], occupancy, cfg.tau_distinct
-                ),
-            )
+        end = ts + totals[k]
+        searched[k] = math.inf if cfg.horizon is None else end + tau_distinct
+        for other, reach_self, reach_other, rest_other in partners[k]:
+            hi = end - reach_self + tau_distinct - reach_other
+            if hi > searched[other]:
+                insort(windows[other], (ts + reach_self - tau_distinct - rest_other, hi))
 
     def earliest_feasible(k: int, base: float) -> float:
         """Smallest microsecond-grid time >= base outside all open windows.
 
         Windows are swept in sorted order. Those starting more than a span
         before the candidate have ended by then, so the sweep skips them:
-        the result is the one a sweep over every window gives.
+        the result is the one a sweep over every window gives. Bases are
+        never negative, and the ceilings are ceil_ms's, inline.
         """
-        c = ceil_ms(max(base, 0.0))
         wins = windows[k]
-        i = bisect_left(wins, (c - spans[k] - 1e-9 * c,))
-        while i < len(wins):
-            lo, hi = wins[i]
-            if c <= lo:
-                break
-            if c < hi:
-                c = ceil_ms(hi)
-            i += 1
+        c = base
+        try:
+            c = math.ceil(c * 1000.0) / 1000.0
+            i = bisect_left(wins, (c - spans[k] - 1e-9 * c,))
+            for lo, hi in islice(wins, i, None):
+                if c <= lo:
+                    break
+                if c < hi:
+                    c = hi
+                    c = math.ceil(c * 1000.0) / 1000.0
+        except (OverflowError, ValueError):
+            ceil_ms(c)  # raises the RangeError for the time that overflowed
+            raise
         return c
 
     for k in order:
@@ -234,11 +245,12 @@ def compute_schedule(layout: GraphLayout, cfg: AnimationConfig) -> Schedule:
         while active:
             placed = []
             for k in active:
-                base = starts[k][-1] + totals[k] + cfg.tau_distinct
-                candidate = earliest_feasible(k, base)
+                candidate = earliest_feasible(k, searched[k])
                 if candidate + totals[k] <= cfg.horizon + _EPS_MS:
                     place(k, candidate)
                     placed.append(k)
+                else:
+                    searched[k] = math.inf
             active, count = placed, count + len(placed)
             if count > MAX_STARTS:
                 raise ConfigError(
@@ -607,8 +619,8 @@ def schedule_to_json(schedule: Schedule) -> str:
     added around them. A non-finite time raises RangeError naming
     its edge: JSON has no such number, and :func:`parse_schedule` refuses it.
     """
-    for se in schedule.edges:
-        if not all(map(math.isfinite, (se.animation.tau, se.animation.total, *se.starts))):
+    for se in schedule.edges:  # an EdgeAnimation's durations are finite
+        if not all(map(math.isfinite, se.starts)):
             source, target = se.animation.edge.key
             raise RangeError(f"non-finite time in schedule edge {source}-{target}")
     if not math.isfinite(schedule.makespan):

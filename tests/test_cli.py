@@ -44,6 +44,23 @@ def schedule_file(tmp_path, layout_file):
     return path
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "schedule --config"])
+def test_deeply_nested_json_is_a_parse_error(command, layout_file, tmp_path, capsys):
+    # 3 000 nested arrays exhaust the JSON decoder's recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    argv = {
+        "validate": ["validate", str(deep)],
+        "check": ["check", str(layout_file), str(deep)],
+        "schedule --config": ["schedule", str(layout_file), "--config", str(deep)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 class TestValidate:
     def test_valid_layout(self, tmp_path, capsys):
         path = tmp_path / "two.json"

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 import types
+from bisect import insort
 from collections import Counter
 from dataclasses import replace
 
@@ -257,6 +258,22 @@ class TestQuadraticOracle:
         assert schedule == quadratic_schedule(layout, repeated)
         assert sum(len(se.starts) for se in schedule.edges) > 2 * len(schedule.edges)
 
+    @pytest.mark.parametrize(
+        "seed, preset", [(1, "fasteas"), (15, "sloweas"), (31, "fastlin"), (32, "slowlin")]
+    )
+    def test_long_horizon_where_most_windows_fall_behind(self, seed, preset):
+        # Ten single-pass makespans: most partners retire long before the
+        # end and many windows end before their partner's next search. Seeds
+        # 1 and 32 fail when windows ending up to 1 ms after that search's
+        # base are dropped too.
+        layout = synth_layout(seed, n_nodes=14, density=3.0, spacing=200, bias=1.5)
+        cfg = PRESETS[preset]
+        cfg = replace(cfg, horizon=10.0 * compute_schedule(layout, cfg).makespan)
+        schedule = compute_schedule(layout, cfg)
+        assert schedule == quadratic_schedule(layout, cfg)
+        counts = [len(se.starts) for se in schedule.edges]
+        assert max(counts) >= 10 and min(counts) < max(counts)
+
     @pytest.mark.parametrize("horizon_factor", [None, 2.0])
     def test_zero_distinctness(self, horizon_factor):
         layout = synth_layout(11, n_nodes=16, density=3.0, spacing=200, bias=1.5)
@@ -280,6 +297,13 @@ class TestQuadraticOracle:
             schedule = compute_schedule(cross_layout, cfg)
             assert schedule.starts_by_key()[("c", "d")].starts[0] == hi
             assert schedule == quadratic_schedule(cross_layout, cfg)
+
+    def test_window_end_past_the_microsecond_grid_is_range_error(self, cross_layout):
+        # The second edge's only window ends near 1e306 ms, whose microsecond
+        # count overflows a float.
+        cfg = replace(SLOWLIN, tau_distinct=1e306)
+        with pytest.raises(RangeError, match="^1e\\+306 ms does not fit the microsecond grid$"):
+            compute_schedule(cross_layout, cfg)
 
     def test_retired_edges_while_others_keep_placing(self):
         # A horizon just past the first pass: long edges cannot repeat and
@@ -445,6 +469,20 @@ class TestValidateSchedule:
         edges = (ScheduledEdge(first.animation, (bad,)), *schedule.edges[1:])
         source, target = first.animation.edge.key
         with pytest.raises(RangeError, match=f"^non-finite start in schedule edge {source}-{target}$"):
+            validate_schedule(layout, schedule.config, replace(schedule, edges=edges))
+
+    @pytest.mark.parametrize(
+        "tau, total", [(math.inf, 600.0), (300.0, math.nan)], ids=["tau-inf", "total-nan"]
+    )
+    def test_non_finite_duration_never_reaches_the_validator(self, tau, total):
+        # Either once passed the validator silently; the animation refuses it.
+        layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+        schedule = compute_schedule(layout, PRESETS["sloweas"])
+        first = schedule.edges[0]
+        source, target = first.animation.edge.key
+        with pytest.raises(RangeError, match=f"^non-finite time in schedule edge {source}-{target}$"):
+            animation = EdgeAnimation(first.animation.edge, tau=tau, total=total)
+            edges = (ScheduledEdge(animation, first.starts), *schedule.edges[1:])
             validate_schedule(layout, schedule.config, replace(schedule, edges=edges))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -995,6 +1033,26 @@ def test_searches_start_at_their_answers(monkeypatch, cfg):
     assert sum(eased) <= scheduling._KNOTS + 2.5 * probe_copies(layout, schedule)
 
 
+def test_windows_go_only_where_they_can_move_a_search(monkeypatch):
+    # Without the live-window rule the sample's 60 s fastlin schedule
+    # inserts 19 808 windows; 8 665 of them end before the partner's next
+    # search, or reach a partner that has retired.
+    layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
+    cfg = replace(FASTLIN, horizon=60_000.0)
+    inserted = []
+
+    def counted(windows, window):
+        inserted.append(window)
+        insort(windows, window)
+
+    monkeypatch.setattr(scheduling, "insort", counted)
+    schedule = compute_schedule(layout, cfg)
+    assert hashlib.sha256(schedule_to_json(schedule).encode()).hexdigest() == (
+        SCHEDULE_DIGESTS["fastlin", 60_000.0]
+    )
+    assert len(inserted) <= 11_143
+
+
 @pytest.fixture(scope="module")
 def bench_scale():
     """A synth n=150 `sloweas` schedule."""
@@ -1269,29 +1327,37 @@ class TestSerialization:
         assert schedule_to_json(schedule) == json.dumps(schedule_to_dict(schedule), indent=2)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, built",
         [
-            lambda se: replace(se, starts=(*se.starts[:-1], math.nan)),
-            lambda se: replace(se, starts=(math.inf, *se.starts)),
-            lambda se: replace(se, animation=replace(se.animation, tau=math.inf)),
-            lambda se: replace(se, animation=replace(se.animation, total=-math.inf)),
+            (lambda se: replace(se, starts=(*se.starts[:-1], math.nan)), True),
+            (lambda se: replace(se, starts=(math.inf, *se.starts)), True),
+            (lambda se: replace(se, animation=replace(se.animation, tau=math.inf)), False),
+            (lambda se: replace(se, animation=replace(se.animation, total=-math.inf)), False),
         ],
         ids=["start-nan", "start-inf", "tau-inf", "total-minus-inf"],
     )
-    def test_non_finite_time_is_range_error(self, edit):
+    def test_non_finite_time_is_range_error(self, edit, built):
+        # A non-finite start is refused by the writer; a non-finite duration
+        # already where its animation is built.
         layout = parse_layout((DATA_DIR / "sample_dense_40.json").read_bytes())
         schedule = compute_schedule(layout, PRESETS["sloweas"])
         bad = schedule.edges[3]
-        edges = (*schedule.edges[:3], edit(bad), *schedule.edges[4:])
         source, target = bad.animation.edge.key
-        with pytest.raises(RangeError, match=f"^non-finite time in schedule edge {source}-{target}$"):
-            schedule_to_json(replace(schedule, edges=edges))
+        message = f"^non-finite time in schedule edge {source}-{target}$"
+        if built:
+            edges = (*schedule.edges[:3], edit(bad), *schedule.edges[4:])
+            with pytest.raises(RangeError, match=message):
+                schedule_to_json(replace(schedule, edges=edges))
+        else:
+            with pytest.raises(RangeError, match=message):
+                edit(bad)
         with pytest.raises(RangeError, match="^non-finite schedule makespan nan$"):
             schedule_to_json(replace(schedule, makespan=math.nan))
 
 
 #: SHA-256 of schedule_to_json's text: the sample under each preset without a
-#: horizon and with 30 s and 60 s ones, and a synth n=150 layout under sloweas.
+#: horizon and with 30 s and 60 s ones, the sample under fasteas with a 180 s
+#: horizon, and a synth n=150 layout under sloweas.
 SCHEDULE_DIGESTS = {
     ("slowlin", None): "5051f9d73574429e7d5610d1167255253e43301ec094e1ae6e04dd0fb5982e40",
     ("slowlin", 30_000.0): "d9f76c409023c5cd50f82a947a9ceb4cc66c76932070bbc0f4640c516a2b3227",
@@ -1305,6 +1371,7 @@ SCHEDULE_DIGESTS = {
     ("fasteas", None): "1c24988970bd1f4273f0fe67b7523e24a0c5339f1a8cb8b45e82be4017f8a607",
     ("fasteas", 30_000.0): "d399767f422e6cffa0e0cd890aff18b3abf025458a62106586947b4310afc4f7",
     ("fasteas", 60_000.0): "9c721ce46ff9b4531cb236e05b1e15042f01a524def08e8475f17d9a46f4020d",
+    ("fasteas", 180_000.0): "44224354637746bfd5fce78a6645a79f48f01ff58e6464e54e629c7cea2b7356",
     ("n150", None): "4d16cb4479fb5639060b718616fec537163166a11a2b988d7832954e1d786423",
 }
 
